@@ -61,7 +61,7 @@ def test_multigpu_scaling(once):
         rows = data[policy]
         assert rows[2]["sim_time"] < rows[1]["sim_time"]
         # The committed 1->8 scaling floor (also gated by
-        # cluster_pagerank_wallclock in repro bench-wallclock).
+        # tests/core/test_multigpu.py in the tier-1 suite).
         assert rows[1]["sim_time"] / rows[8]["sim_time"] >= 2.0
         # Diminishing returns: 8 devices do not give 8x.
         assert rows[1]["sim_time"] / rows[8]["sim_time"] < 8

@@ -152,13 +152,6 @@ ALGORITHMS = {
 
 def _fastpath_options(args) -> dict:
     """GraphReduceOptions kwargs from the host fast-path toggles."""
-    backend = args.parallel_backend
-    workers = args.workers if args.workers is not None else args.parallel_shards
-    if backend == "serial":
-        workers = 0
-    elif workers <= 0:
-        # A parallel backend was requested without a worker count.
-        workers = 2 if backend in ("processes", "cluster") else 0
     opts = {
         "dense_fast_path": not args.no_dense_path,
         "plan_cache": not args.no_plan_cache,
@@ -166,9 +159,7 @@ def _fastpath_options(args) -> dict:
         "direction": args.direction,
         "direction_alpha": args.direction_alpha,
         "direction_beta": args.direction_beta,
-        "parallel_shards": workers,
-        "parallel_backend": backend,
-        "frontier_policy": getattr(args, "frontier_policy", "replicated"),
+        "parallel_shards": args.parallel_shards,
         "kernel_backend": args.kernel_backend,
     }
     if args.plan_cache_budget is not None:
@@ -306,7 +297,10 @@ def _run_multidevice(args, opts) -> int:
             )
     program = ALGORITHMS[args.algorithm](args)
     result = MultiGPUGraphReduce(
-        graph, num_devices=args.devices, options=opts
+        graph,
+        num_devices=args.devices,
+        options=opts,
+        frontier_policy=args.frontier_policy,
     ).run(program, max_iterations=args.max_iterations)
     vals = result.vertex_values
     print(f"graph      : {graph}")
@@ -462,7 +456,10 @@ def cmd_profile(args) -> int:
         from repro.core.multigpu import MultiGPUGraphReduce
 
         mg = MultiGPUGraphReduce(
-            graph, num_devices=args.devices, options=opts
+            graph,
+            num_devices=args.devices,
+            options=opts,
+            frontier_policy=args.frontier_policy,
         ).run(ALGORITHMS[args.algorithm](args), max_iterations=args.max_iterations)
         report.devices = {
             "num_devices": mg.num_devices,
@@ -709,7 +706,7 @@ def cmd_bench_check(args) -> int:
     wallclock_path = Path(args.wallclock_snapshot)
     if wallclock_path.exists():
         wdoc = bench.load_snapshot(wallclock_path)
-        wfresh = bench.run_wallclock_suite(repeats=1)
+        wfresh = bench.run_wallclock_metrics()
         regressions += bench.compare(wdoc["benchmarks"], wfresh, tolerance=tolerance)
         for name in sorted(wdoc["benchmarks"]):
             base = wdoc["benchmarks"][name].get("sim_time", 0.0)
@@ -801,10 +798,7 @@ def cmd_bench_wallclock(args) -> int:
 
 
 def _monitor_problems(args, state) -> int:
-    problems = state.problems(
-        expect_workers=args.expect_workers,
-        fail_on_incident=args.fail_on_incident,
-    )
+    problems = state.problems(fail_on_incident=args.fail_on_incident)
     for problem in problems:
         print(f"problem: {problem}", file=sys.stderr)
     return 1 if problems else 0
@@ -901,6 +895,18 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _add_devices_args(p, devices_help: str) -> None:
+    p.add_argument("--devices", type=int, default=1, help=devices_help)
+    p.add_argument(
+        "--frontier-policy", choices=("replicated", "partitioned"),
+        default="replicated",
+        help="boundary-exchange policy of the multi-device scheduler: "
+             "full frontier bitmaps everywhere (replicated, default) or "
+             "pairwise boundary bits only (partitioned); results are "
+             "bit-identical",
+    )
+
+
 def _add_store_args(p) -> None:
     p.add_argument(
         "--shard-store", default=None,
@@ -940,31 +946,8 @@ def _add_fastpath_args(p) -> None:
     )
     p.add_argument(
         "--parallel-shards", type=int, default=0,
-        help="workers for parallel shard compute (0 = off; bsp only)",
-    )
-    p.add_argument(
-        "--parallel-backend",
-        choices=("serial", "threads", "processes", "cluster"),
-        default="threads",
-        help="how parallel shard workers execute: GIL-releasing threads "
-             "(default), a spawn-safe process pool attaching the shard "
-             "arrays zero-copy (processes), or partitioned-ownership "
-             "workers that each attach only their owned shard slice and "
-             "exchange sparse boundary deltas through shared-memory "
-             "mailboxes (cluster); 'serial' disables shard parallelism",
-    )
-    p.add_argument(
-        "--workers", type=int, default=None,
-        help="alias for --parallel-shards (with --parallel-backend "
-             "processes or cluster, defaults to 2 when neither is given)",
-    )
-    p.add_argument(
-        "--frontier-policy", choices=("replicated", "partitioned"),
-        default="replicated",
-        help="boundary-exchange policy for the cluster backend and the "
-             "multi-device scheduler: full frontier bitmaps everywhere "
-             "(replicated, default) or owned-slice/pairwise-boundary "
-             "bits only (partitioned); results are bit-identical",
+        help="threads for parallel shard compute (0 or 1 = serial; "
+             "bsp only)",
     )
     p.add_argument(
         "--plan-cache-budget", type=int, default=None,
@@ -1006,7 +989,7 @@ def _add_telemetry_args(p) -> None:
     p.add_argument(
         "--stall-timeout", type=float, default=30.0,
         help="seconds without a heartbeat before the watchdog declares a "
-             "busy worker/prefetcher stalled (default 30)",
+             "busy main loop or prefetcher stalled (default 30)",
     )
 
 
@@ -1053,11 +1036,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--execution-mode", choices=("bsp", "async"), default="bsp",
         help="bulk-synchronous phases (paper) or asynchronous sweeps",
     )
-    run_p.add_argument(
-        "--devices", type=int, default=1,
-        help="run on N simulated accelerators via the multi-device "
-             "scheduler (in-RAM graphs only; results stay bit-identical "
-             "to one device, only the performance plane changes)",
+    _add_devices_args(
+        run_p,
+        "run on N simulated accelerators via the multi-device "
+        "scheduler (in-RAM graphs only; results stay bit-identical "
+        "to one device, only the performance plane changes)",
     )
     run_p.add_argument(
         "--sources-file", default=None,
@@ -1133,11 +1116,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--once", action="store_true",
         help="render the stream's current state once and exit instead of "
              "tailing until run_end",
-    )
-    mon_p.add_argument(
-        "--expect-workers", type=int, default=None,
-        help="exit 1 unless heartbeats from at least this many workers "
-             "appear in the latest snapshot",
     )
     mon_p.add_argument(
         "--fail-on-incident", action="store_true",
@@ -1224,10 +1202,10 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("--k", type=int, default=3)
     prof_p.add_argument("--power-iterations", type=int, default=25)
     prof_p.add_argument("--max-iterations", type=int, default=100_000)
-    prof_p.add_argument(
-        "--devices", type=int, default=1,
-        help="also project the run onto N simulated accelerators and "
-             "report the multi-device scaling row",
+    _add_devices_args(
+        prof_p,
+        "also project the run onto N simulated accelerators and "
+        "report the multi-device scaling row",
     )
     _add_store_args(prof_p)
 

@@ -92,7 +92,7 @@ def _validate_sources(sources, num_vertices: int) -> np.ndarray:
 
 
 class _BatchLedger:
-    """Per-query retirement bookkeeping (main process only).
+    """Per-query retirement bookkeeping (main thread only).
 
     Tracks, per column, the iteration at which the matching solo run
     would have stopped: a solo run exits at the top of iteration ``t+1``
@@ -139,29 +139,7 @@ class _BatchLedger:
         }
 
 
-class _MainOnlyState:
-    """Strip main-process-only ledger state when pickling to workers.
-
-    The retirement ledger, previous-state copies, and depth matrices
-    are only read by ``end_iteration`` (a main-process hook); shipping
-    them to process-pool workers would add O(n*K) bytes per worker for
-    no reason. Workers lazily rebuild anything they do touch (the
-    PageRank degree table).
-    """
-
-    _main_only: tuple = ()
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        for key in self._main_only:
-            state[key] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-
-
-class BatchedTraversal(_MainOnlyState, GASProgram):
+class BatchedTraversal(GASProgram):
     """Columnar multi-query traversal: BFS levels / SSSP / CC labels.
 
     One float32 column per query; gather folds each column over the
@@ -196,8 +174,6 @@ class BatchedTraversal(_MainOnlyState, GASProgram):
         self.name = f"batch-{mode}x{self.num_queries}"
         self.ledger = _BatchLedger(self.num_queries)
         self._prev = None
-
-    _main_only = ("_prev",)
 
     # -- initialization ------------------------------------------------
     def init_vertices(self, ctx):
@@ -270,13 +246,13 @@ class BatchedTraversal(_MainOnlyState, GASProgram):
         return np.ascontiguousarray(vertex_values[:, k])
 
 
-class BatchedPageRank(_MainOnlyState, GASProgram):
+class BatchedPageRank(GASProgram):
     """Columnar power-iteration PageRank: per-query damping + rounds.
 
     Only the ``tolerance=None`` (power iteration) formulation batches:
     its trajectory is a pure function of the iteration index, so
     per-column freezing after ``iterations[k]`` rounds reproduces each
-    solo run exactly and stays deterministic in process-pool workers.
+    solo run exactly.
     Tolerance-driven PageRank is frontier-adaptive and not
     superset-safe; :class:`BatchRunner` rejects it.
     """
@@ -307,8 +283,6 @@ class BatchedPageRank(_MainOnlyState, GASProgram):
         self.ledger = _BatchLedger(self.num_queries)
         self._deg32 = None
         self._deg32_ctx = None
-
-    _main_only = ("_deg32", "_deg32_ctx")
 
     def init_vertices(self, ctx):
         return np.full(
@@ -353,7 +327,7 @@ class BatchedPageRank(_MainOnlyState, GASProgram):
         return np.ascontiguousarray(vertex_values[:, k])
 
 
-class BitParallelBFS(_MainOnlyState, GASProgram):
+class BitParallelBFS(GASProgram):
     """MS-BFS: bit-parallel multi-source BFS, 64 traversals per word.
 
     Vertex state is ``W = ceil(K/64)`` uint64 words; bit ``k`` of the
@@ -383,8 +357,6 @@ class BitParallelBFS(_MainOnlyState, GASProgram):
         self.ledger = _BatchLedger(self.num_queries)
         self.depths = None
         self._prev = None
-
-    _main_only = ("_prev", "depths")
 
     def init_vertices(self, ctx):
         n = ctx.num_vertices

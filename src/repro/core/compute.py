@@ -360,7 +360,7 @@ class ComputeEngine:
             states,
         )
         if self.edge_state is not None:
-            self._write_edge_state(plan.eids, new_states)
+            self.edge_state[plan.eids] = new_states
         return WorkItems(edge_items=n_edges)
 
     def _frontier_activate(self, shard: Shard, count_full: bool) -> WorkItems:
@@ -404,7 +404,8 @@ class ComputeEngine:
             self._kernel_fallback("frontier_activate", exc)
             return None
         if len(targets):
-            self.frontier.activate_next(self._capture_targets(targets))
+            # ``targets`` is an arena view; the frontier consumes it now.
+            self.frontier.activate_next(targets)
         self._count_fused()
         return WorkItems(
             edge_items=shard.num_out_edges if count_full else len(targets)
@@ -446,16 +447,18 @@ class ComputeEngine:
                 f"of shape {changed.shape}; expected {rows.shape}"
             )
         out = np.asarray(new_vals).astype(self.program.vertex_dtype, copy=False)
-        self._write_vertex_values(shard, rows, dense, out)
+        if dense:
+            self.vertex_values[shard.start : shard.stop] = out
+        else:
+            self.vertex_values[rows] = out
         self.frontier.mark_changed(rows[changed])
         return WorkItems(vertex_items=n_vert)
 
     def _fused_apply(self, shard: Shard, rows, dense: bool) -> bool:
         """Fused apply: update + changed mask in one kernel pass.
 
-        Results land in arena buffers (``out`` is copied by the write
-        hook's consumer before the next reuse; the worker engine's
-        delta capture copies explicitly). The min_improve source seed
+        Results land in arena buffers (``out`` is copied into the vertex
+        values before the next reuse). The min_improve source seed
         is positional: the generic ``vids == source`` comparison
         reduces to at most one index on iteration 0.
         """
@@ -479,32 +482,13 @@ class ComputeEngine:
         except Exception as exc:  # pragma: no cover - exercised via tests
             self._kernel_fallback("apply", exc)
             return False
-        changed_vids = np.flatnonzero(changed) + lo if dense else rows[changed]
-        self._write_vertex_values(shard, rows, dense, out)
+        if dense:
+            changed_vids = np.flatnonzero(changed) + lo
+            self.vertex_values[lo:hi] = out
+        else:
+            changed_vids = rows[changed]
+            self.vertex_values[rows] = out
         self.frontier.mark_changed(changed_vids)
         self._count_fused()
         return True
 
-    # ------------------------------------------------------------------
-    # Mutable-state write points. The process-pool worker engine
-    # overrides these two hooks to *capture* writes as deltas instead of
-    # applying them -- the main process replays the captured deltas in
-    # shard order, so parallel workers never race on shared state.
-    # ------------------------------------------------------------------
-    def _write_vertex_values(self, shard: Shard, rows, dense: bool, out) -> None:
-        if dense:
-            self.vertex_values[shard.start : shard.stop] = out
-        else:
-            self.vertex_values[rows] = out
-
-    def _write_edge_state(self, eids, new_states) -> None:
-        self.edge_state[eids] = new_states
-
-    def _capture_targets(self, targets: np.ndarray) -> np.ndarray:
-        """Hand fused-activation targets (an arena view) to the frontier.
-
-        The serial frontier consumes them synchronously, so the view is
-        safe; the pool worker engine overrides this with a copy because
-        its captured deltas are pickled *after* the arena is reused.
-        """
-        return targets

@@ -18,9 +18,9 @@ instance:
   used by tests to pin fused-vs-generic equivalence);
 * anything else raises ``ValueError``.
 
-Process-pool workers resolve their backend locally from the option
-string, so compiled kernels compose with ``--parallel-backend
-processes`` without pickling compiled state.
+One backend instance serves every shard of a run, including runs whose
+shards execute on ``parallel_shards`` threads: scratch buffers are
+keyed per shard, so concurrent shards never share one.
 """
 
 from __future__ import annotations

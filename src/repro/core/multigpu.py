@@ -1,7 +1,7 @@
 """Multi-device GraphReduce scheduler (the paper's future work, Section 8).
 
 Scales the single-device engine to N simulated accelerators on one
-host. Shard ownership comes from the shared partitioned-ownership
+host. Shard ownership comes from the partitioned-ownership
 abstraction (:mod:`repro.core.ownership`): each device owns a
 contiguous block of shards for the whole run, so edge data never
 migrates and each device's vertex intervals form one contiguous range.
@@ -103,7 +103,7 @@ class MultiGPUGraphReduce:
         num_devices: int = 2,
         machine: MachineSpec | None = None,
         options: GraphReduceOptions | None = None,
-        frontier_policy: str | None = None,
+        frontier_policy: str = "replicated",
     ):
         if num_devices < 1:
             raise ValueError(f"num_devices must be >= 1, got {num_devices!r}")
@@ -111,10 +111,7 @@ class MultiGPUGraphReduce:
         self.num_devices = num_devices
         self.machine = machine or default_machine()
         self.options = options or GraphReduceOptions()
-        self.frontier_policy = check_frontier_policy(
-            frontier_policy if frontier_policy is not None
-            else self.options.frontier_policy
-        )
+        self.frontier_policy = check_frontier_policy(frontier_policy)
 
     def run(self, program: GASProgram, max_iterations: int | None = None) -> MultiGPUResult:
         opts = self.options

@@ -1,17 +1,10 @@
-"""Partitioned ownership: who holds which shard, and what crosses owners.
+"""Partitioned ownership: which device holds which shard, and what
+crosses devices.
 
-One abstraction shared by the two scale-out layers:
-
-* the ``cluster`` procpool backend (:mod:`repro.core.procpool`), where
-  each worker *process* attaches only its owned shard slice and the main
-  process ships sparse boundary-vertex deltas through fixed-slot
-  shared-memory mailboxes, and
-* the simulated multi-device scheduler (:mod:`repro.core.multigpu`),
-  where each *device* owns its shards for the whole run and the
-  iteration-end replication exchanges only the changed vertices each
-  peer actually reads.
-
-Both layers need the same three answers, which live here:
+The simulated multi-device scheduler (:mod:`repro.core.multigpu`)
+gives each device its shards for the whole run; the iteration-end
+replication exchanges only the changed vertices each peer actually
+reads. It needs three answers, which live here:
 
 1. **shard -> owner**: a total, single-owner assignment
    (:class:`OwnershipMap`; every shard has exactly one owner).
@@ -24,8 +17,7 @@ Both layers need the same three answers, which live here:
 3. **frontier policy**: ``"replicated"`` keeps full frontier bitmaps
    everywhere (the classic multi-GPU GAS design, and what the paper's
    single-device engine assumes); ``"partitioned"`` ships only the
-   owned-interval slice (cluster) or the pairwise boundary bits
-   (multi-device), trading bitmap traffic for the bookkeeping.
+   pairwise boundary bits, trading bitmap traffic for the bookkeeping.
 """
 
 from __future__ import annotations
@@ -33,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.core.partition import IDX_BYTES, PTR_BYTES, VAL_BYTES
 
 #: Recognized frontier exchange policies.
 FRONTIER_POLICIES = ("replicated", "partitioned")
@@ -66,10 +56,8 @@ class OwnershipMap:
         """Block assignment: owner ``w`` gets a contiguous run of shards.
 
         Contiguous runs keep each owner's vertex intervals contiguous
-        too (shard intervals are sorted), which is what lets the cluster
-        backend describe an owner's vertex range as one ``[lo, hi)``
-        slice -- the partitioned frontier policy ships exactly that
-        slice of the bitmaps.
+        too (shard intervals are sorted), so an owner's vertex range is
+        one ``[lo, hi)`` slice.
         """
         if num_owners < 1:
             raise ValueError(f"num_owners must be >= 1, got {num_owners!r}")
@@ -77,17 +65,6 @@ class OwnershipMap:
         bounds = np.linspace(0, num_partitions, num_owners + 1).astype(np.int64)
         owner_of = np.repeat(np.arange(num_owners), np.diff(bounds))
         return cls(num_owners=num_owners, owner_of=tuple(int(o) for o in owner_of))
-
-    @classmethod
-    def round_robin(cls, num_partitions: int, num_owners: int) -> "OwnershipMap":
-        """``shard.index % num_owners`` -- the legacy multi-GPU layout."""
-        if num_owners < 1:
-            raise ValueError(f"num_owners must be >= 1, got {num_owners!r}")
-        num_owners = min(num_owners, max(num_partitions, 1))
-        return cls(
-            num_owners=num_owners,
-            owner_of=tuple(i % num_owners for i in range(num_partitions)),
-        )
 
     @property
     def num_partitions(self) -> int:
@@ -134,7 +111,7 @@ def boundary_sets(sharded, ownership: OwnershipMap) -> tuple[list, list]:
 
     Works identically for in-RAM shards and store-backed lazy shards
     (reading ``csc.indices`` faults a lazy shard in once; this runs at
-    pool/scheduler startup, not per iteration).
+    scheduler startup, not per iteration).
     """
     n = sharded.num_vertices
     readers = [
@@ -185,26 +162,3 @@ def boundary_matrix(sharded, ownership: OwnershipMap) -> dict:
             if len(vids):
                 matrix[(c, p)] = vids
     return matrix
-
-
-# ----------------------------------------------------------------------
-# Resident-byte accounting
-# ----------------------------------------------------------------------
-def estimate_shard_bytes(
-    num_interval_vertices: int,
-    num_in_edges: int,
-    num_out_edges: int,
-    with_weights: bool,
-) -> int:
-    """Host bytes of one shard's CSC+CSR arrays, from counts alone.
-
-    Pure count math so the cluster pool can report per-worker resident
-    footprints for store-backed shards without faulting their memmaps
-    (edge ids ride with each layout at ``IDX_BYTES`` apiece).
-    """
-    nv = num_interval_vertices
-    total = 2 * (nv + 1) * PTR_BYTES  # csc+csr indptr
-    total += (num_in_edges + num_out_edges) * 2 * IDX_BYTES  # indices+edge_ids
-    if with_weights:
-        total += (num_in_edges + num_out_edges) * VAL_BYTES
-    return total

@@ -21,7 +21,6 @@ configuration; the default is everything on.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,7 +29,7 @@ from repro.core.api import GASProgram
 from repro.core.compute import ComputeEngine
 from repro.core.frontier import DirectionController, FrontierManager
 from repro.core.fusion import PhaseGroup, build_async_plan, build_plan
-from repro.core.kernels import resolve_backend
+from repro.core.kernels import BACKEND_CHOICES, resolve_backend
 from repro.core.movement import (
     DataMovementEngine,
     HostPrefetcher,
@@ -47,6 +46,16 @@ from repro.sim.device import GPUDevice
 from repro.sim.engine import Simulator
 from repro.sim.specs import MachineSpec, default_machine
 from repro.sim.trace import TraceRecorder
+
+
+#: Closed-set string options of :class:`GraphReduceOptions`.
+_OPTION_CHOICES = {
+    "direction": ("push", "pull", "auto"),
+    "cache_policy": ("auto", "never", "greedy", "lru"),
+    "execution_mode": ("bsp", "async"),
+    "host_backing": ("dram", "ssd"),
+    "kernel_backend": (*BACKEND_CHOICES, "off"),
+}
 
 
 @dataclass(frozen=True)
@@ -122,29 +131,6 @@ class GraphReduceOptions:
     direction_alpha: float = 14.0
     direction_beta: float = 24.0
     parallel_shards: int = 0
-    #: How ``parallel_shards`` workers execute: ``"threads"`` (PR 3's
-    #: ThreadPoolExecutor; NumPy kernels release the GIL), or
-    #: ``"processes"`` (a spawn-safe worker pool attaching the shard
-    #: arrays zero-copy -- shared memory for in-RAM runs, per-worker
-    #: memmaps for shard-store runs -- see :mod:`repro.core.procpool`).
-    #: or ``"cluster"`` (partitioned ownership: each worker attaches
-    #: only its owned shard slice and the main process ships sparse
-    #: boundary-vertex deltas through fixed-slot shared-memory
-    #: mailboxes -- per-worker resident bytes scale down with the
-    #: worker count; see :class:`repro.core.procpool.ClusterPool`).
-    #: ``"serial"`` ignores ``parallel_shards`` entirely. All parallel
-    #: backends are bit-identical to serial: results, frontier history
-    #: and the simulated timeline are merged in fixed shard order. If a
-    #: pool worker crashes or times out mid-run the runtime emits a
-    #: ``RuntimeWarning`` and transparently re-runs serially.
-    parallel_backend: str = "threads"
-    #: Frontier exchange policy for the partitioned-ownership layers
-    #: (the ``cluster`` backend and the multi-device scheduler):
-    #: ``"replicated"`` ships full frontier bitmaps to every owner;
-    #: ``"partitioned"`` ships only each owner's interval slice (or the
-    #: pairwise boundary bits, for devices). Results are bit-identical
-    #: either way; only the modeled/communicated bytes differ.
-    frontier_policy: str = "replicated"
     #: LRU byte budget for the gather/scatter plan cache (counts the
     #: bytes each cached plan references, including dense plans' aliased
     #: shard arrays -- i.e. what eviction can unpin). ``None`` keeps the
@@ -168,9 +154,7 @@ class GraphReduceOptions:
     #: PlanCache's dense plans (topology-only, rebuilt otherwise). The
     #: batch executor's chunked runs and repeated-query workloads are
     #: the intended users. Wall-clock only -- results and the simulated
-    #: timeline are bit-identical either way. Ignored by the process-
-    #: pool backend (workers memmap their own shards; the main process
-    #: holds nothing worth keeping). Call :meth:`GraphReduce.close`
+    #: timeline are bit-identical either way. Call :meth:`GraphReduce.close`
     #: (or use the engine as a context manager) to release the kept
     #: threads and cache.
     keep_warm: bool = False
@@ -182,12 +166,26 @@ class GraphReduceOptions:
     #: live telemetry (see :mod:`repro.obs.telemetry`): a
     #: :class:`~repro.obs.telemetry.TelemetryConfig` turns on the
     #: streaming bus (periodic JSONL snapshots a concurrent ``repro
-    #: monitor`` tails), the health watchdog over the main loop /
-    #: pool workers / prefetcher, and -- when its ``flight_recorder``
+    #: monitor`` tails), the health watchdog over the main loop and
+    #: prefetcher, and -- when its ``flight_recorder``
     #: flag is set -- the bounded ring-buffer span recorder in place
     #: of the unbounded tree. ``None`` (default) adds nothing: the
     #: NULL_OBSERVER zero-overhead path is untouched.
     telemetry: "TelemetryConfig | None" = None
+
+    def __post_init__(self) -> None:
+        # Validated once, at construction: a typo fails before any
+        # partition, device or thread exists.
+        for name, choices in _OPTION_CHOICES.items():
+            value = getattr(self, name)
+            if value not in choices:
+                raise ValueError(
+                    f"unknown {name} {value!r}; expected one of {choices}"
+                )
+        if self.parallel_shards < 0:
+            raise ValueError(
+                f"parallel_shards must be >= 0, got {self.parallel_shards!r}"
+            )
 
     @staticmethod
     def unoptimized() -> "GraphReduceOptions":
@@ -286,9 +284,6 @@ class GraphReduceResult:
     #: host prefetcher totals + wall-clock activity lane (out-of-core
     #: shard-store runs only; None for in-RAM runs)
     prefetch: dict | None = None
-    #: process-pool totals + per-worker wall-clock lane (``processes``
-    #: backend only; None otherwise)
-    procpool: dict | None = None
     #: telemetry summary (records emitted, incidents, flight-recorder
     #: occupancy); None unless ``options.telemetry`` was set
     telemetry: dict | None = None
@@ -366,56 +361,10 @@ class GraphReduce:
         return False
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _pool_engaged(opts: GraphReduceOptions) -> bool:
-        """Whether this configuration runs through a worker pool.
-
-        The ``processes`` backend needs at least two workers to be
-        worth a pool; ``cluster`` engages from one worker up -- a
-        single-owner cluster still exercises the partitioned-ownership
-        attach and the mailbox exchange, and is the degenerate point of
-        the scaling curve.
-        """
-        if opts.execution_mode != "bsp":
-            return False
-        if opts.parallel_backend == "processes":
-            return opts.parallel_shards > 1
-        if opts.parallel_backend == "cluster":
-            return opts.parallel_shards >= 1
-        return False
-
     def run(self, program: GASProgram, max_iterations: int | None = None) -> GraphReduceResult:
         """Execute ``program`` to convergence on the simulated machine."""
         opts = self.options
-        if opts.parallel_backend not in ("serial", "threads", "processes", "cluster"):
-            raise ValueError(f"unknown parallel_backend {opts.parallel_backend!r}")
-        if self._pool_engaged(opts):
-            from repro.core.procpool import WorkerCrashed
-
-            try:
-                return self._execute(program, max_iterations, opts)
-            except WorkerCrashed as exc:
-                # The run is deterministic, so a clean serial re-run
-                # produces exactly the result the pool would have.
-                warnings.warn(
-                    f"{opts.parallel_backend} pool backend failed ({exc}); "
-                    "falling back to serial execution",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                return self._execute(
-                    program,
-                    max_iterations,
-                    opts.replace(parallel_backend="serial", parallel_shards=0),
-                )
-        return self._execute(program, max_iterations, opts)
-
-    def _execute(
-        self, program: GASProgram, max_iterations: int | None, opts: GraphReduceOptions
-    ) -> GraphReduceResult:
         program.validate()
-        if opts.direction not in ("push", "pull", "auto"):
-            raise ValueError(f"unknown direction {opts.direction!r}")
         if opts.direction != "push" and not (
             program.pull_compatible and program.has_gather
         ):
@@ -456,23 +405,14 @@ class GraphReduce:
         with_weights = program.needs_weights
         with_state = program.edge_dtype is not None
         resident_bytes = self._resident_bytes(program, edges.num_vertices)
-        use_pool = self._pool_engaged(opts)
-        if use_pool and not program.process_safe:
-            raise ValueError(
-                f"{type(program).__name__} carries mutable per-run Python "
-                "state (process_safe=False); the processes backend would "
-                "silently diverge per worker -- use serial or threads"
-            )
-        keep_state = opts.keep_warm and not use_pool
-        if not keep_state:
-            # A non-warm run (or the pool backend, whose workers memmap
-            # their own shards) invalidates whatever a previous warm run
+        if not opts.keep_warm:
+            # A non-warm run invalidates whatever a previous warm run
             # left behind.
             self.close()
         prefetcher = None
         prefetch_key = None
         executor = None
-        pool = None
+        threaded = opts.parallel_shards > 1 and opts.execution_mode == "bsp"
         telemetry_summary = None
         # Initialized before the try so the telemetry run_end in the
         # finally block has defined values even when setup raises.
@@ -480,9 +420,8 @@ class GraphReduce:
         iteration = 0
         run_error = None
         # One try/finally covers everything from here on: the prefetcher
-        # (and later the executor/pool) own threads, processes and
-        # shared-memory segments that must be released even when setup
-        # or an iteration raises mid-run.
+        # (and later the executor) own threads that must be released
+        # even when setup or an iteration raises mid-run.
         try:
             with obs.span("partition", category="setup") as part_span:
                 if self.shard_store is not None:
@@ -493,7 +432,6 @@ class GraphReduce:
                         with_state,
                         resident_bytes,
                         obs,
-                        warm=not use_pool,
                         telemetry=telem,
                     )
                     part_span.set(
@@ -524,8 +462,8 @@ class GraphReduce:
                 telem.start(
                     algorithm=program.name,
                     graph=edges.name,
-                    backend=opts.parallel_backend,
-                    workers=opts.parallel_shards,
+                    backend="threads" if threaded else "serial",
+                    workers=opts.parallel_shards if threaded else 0,
                     kernel_backend=kernels.name if kernels is not None else "off",
                     num_vertices=edges.num_vertices,
                     num_edges=edges.num_edges,
@@ -553,8 +491,6 @@ class GraphReduce:
                     sim, host.ssd_bandwidth, max_concurrent=host.ssd_queue_depth, name="ssd"
                 )
                 movement.ssd = (ssd, spill)
-            elif opts.host_backing != "dram":
-                raise ValueError(f"unknown host_backing {opts.host_backing!r}")
             with obs.span("resident", category="phase"):
                 movement.upload_resident(self._resident_buffers(program, edges.num_vertices))
             in_memory = False
@@ -566,8 +502,6 @@ class GraphReduce:
                         in_memory = movement.cache_all_shards()
                 elif opts.cache_policy == "greedy":
                     in_memory = movement.cache_all_shards()
-                elif opts.cache_policy not in ("never", "lru"):
-                    raise ValueError(f"unknown cache_policy {opts.cache_policy!r}")
                 if not in_memory:
                     movement.reserve_stage_slots()
                     if opts.cache_policy == "lru":
@@ -597,7 +531,7 @@ class GraphReduce:
                 opts.plan_cache_budget,
                 opts.sparse_bypass,
             )
-            if keep_state and self._warm_plans is not None:
+            if opts.keep_warm and self._warm_plans is not None:
                 warm_plans, warm_sharded, warm_key = self._warm_plans
                 if warm_sharded is sharded and warm_key == plans_key:
                     # Carried cache: dense plans survive, frontier-keyed
@@ -633,55 +567,10 @@ class GraphReduce:
                 prefetcher.on_evict = plans.drop_shard
             if opts.execution_mode == "async":
                 plan = build_async_plan(program, obs=obs)
-            elif opts.execution_mode == "bsp":
+            else:
                 plan = build_plan(
                     program, optimized=opts.fusion, fuse_gather=opts.fuse_gather, obs=obs
                 )
-            else:
-                raise ValueError(f"unknown execution_mode {opts.execution_mode!r}")
-            if use_pool:
-                from repro.core.procpool import ClusterPool, ProcessPool
-
-                cluster = opts.parallel_backend == "cluster"
-                pool_cls = ProcessPool
-                pool_kwargs = {}
-                if cluster:
-                    pool_cls = ClusterPool
-                    pool_kwargs["frontier_policy"] = opts.frontier_policy
-                pool = pool_cls(
-                    **pool_kwargs,
-                    sharded=sharded,
-                    program=program,
-                    ctx=ctx,
-                    frontier=frontier,
-                    compute=compute,
-                    obs=obs,
-                    workers=opts.parallel_shards,
-                    dense=opts.dense_fast_path,
-                    cache=opts.plan_cache,
-                    sparse=opts.sparse_bypass,
-                    plan_budget=opts.plan_cache_budget,
-                    # Ship the *resolved* backend name: workers re-resolve
-                    # locally (dispatchers are not picklable) but must not
-                    # re-warn about a missing Numba per worker.
-                    kernel_backend=(
-                        kernels.name if kernels is not None else "off"
-                    ),
-                    store=self.shard_store,
-                    unit_weights=(
-                        self.shard_store is not None
-                        and with_weights
-                        and not self.shard_store.weighted
-                    ),
-                    telemetry=telem,
-                )
-                if telem is not None:
-                    telem.add_source(
-                        "cluster" if cluster else "procpool",
-                        lambda p=pool: {
-                            k: v for k, v in p.snapshot().items() if k != "lane"
-                        },
-                    )
 
             # --- Iterations --------------------------------------------
             controller = None
@@ -698,11 +587,7 @@ class GraphReduce:
             frontier_bytes = edges.num_vertices // 8 + 1
             iteration_stats: list[IterationStat] = []
             end_hook = type(program).end_iteration is not GASProgram.end_iteration
-            if (
-                opts.parallel_shards > 1
-                and opts.execution_mode == "bsp"
-                and opts.parallel_backend == "threads"
-            ):
+            if threaded:
                 # Shards of one phase are independent in bsp mode and the
                 # heavy NumPy kernels release the GIL; async sweeps are
                 # Gauss-Seidel (later shards read earlier shards' same-sweep
@@ -750,19 +635,11 @@ class GraphReduce:
                 ) as it_span:
                     for group in plan:
                         shards, skipped = self._select_shards(group, sharded, frontier, opts)
-                        if prefetcher is not None and pool is None:
+                        if prefetcher is not None:
                             # Only the frontier-selected shards: skipped
                             # shards are neither prefetched nor faulted.
-                            # (With the process pool the workers memmap
-                            # their own shards; the main process never
-                            # touches the arrays at all.)
                             prefetcher.schedule([s.index for s in shards])
-                        if pool is not None:
-                            run_shard = pool.phase_run(
-                                group, shards, iteration,
-                                count_full=not opts.frontier_skipping,
-                            )
-                        elif prefetcher is None:
+                        if prefetcher is None:
                             run_shard = (
                                 lambda shard, g=group: compute.run_group(
                                     g.phases, shard, count_full=not opts.frontier_skipping
@@ -810,10 +687,8 @@ class GraphReduce:
                 if telem is not None:
                     telem.iteration(iteration, frontier_size, direction=direction)
                 if end_hook:
-                    # After delta replay (the pool applies worker deltas
-                    # inside run_phase) and before advance clears the
-                    # changed mask, so the hook sees the iteration's
-                    # final values under every backend.
+                    # Before advance clears the changed mask, so the hook
+                    # sees the iteration's final values.
                     program.end_iteration(
                         ctx, compute.vertex_values, frontier.changed, iteration
                     )
@@ -822,18 +697,13 @@ class GraphReduce:
             else:
                 converged = frontier.size == 0
         except BaseException as exc:
-            # Captured explicitly: sys.exc_info() in the finally would
-            # also see an *outer* handled exception (the serial
-            # fallback re-executes inside the WorkerCrashed handler).
             run_error = exc
             raise
         finally:
-            if pool is not None:
-                pool.shutdown()
             if executor is not None:
                 executor.shutdown(wait=True)
             keep_prefetcher = (
-                keep_state and run_error is None and prefetcher is not None
+                opts.keep_warm and run_error is None and prefetcher is not None
             )
             if prefetcher is not None and not keep_prefetcher:
                 prefetcher.shutdown()
@@ -846,7 +716,7 @@ class GraphReduce:
                     self._warm_prefetch = None
                     self._warm_plans = None
             if telem is not None:
-                # After the pools are down so the leaked-thread check
+                # After the executor is down so the leaked-thread check
                 # sees the post-shutdown state; emits run_end and
                 # closes the sink even when setup or a phase raised.
                 # A kept (keep_warm) prefetcher's warming threads are
@@ -860,7 +730,7 @@ class GraphReduce:
                     ),
                 )
 
-        if keep_state:
+        if opts.keep_warm:
             # Reached only on success (errors propagate past the
             # finally): stash the warm state for the next run.
             if prefetcher is not None:
@@ -879,19 +749,6 @@ class GraphReduce:
             engine_snapshots = device.engine_snapshots()
             if movement.ssd is not None:
                 engine_snapshots["ssd"] = movement.ssd[0].profile_snapshot()
-        pool_snapshot = pool.snapshot() if pool is not None else None
-        if pool_snapshot is not None and pool_snapshot.get("plan_cache"):
-            # The plan caches live in the workers under this backend;
-            # surface their aggregate where tooling expects the stats.
-            plan_cache_stats = pool_snapshot["plan_cache"]
-        else:
-            plan_cache_stats = plans.stats() if plans.enabled else None
-        if pool_snapshot is not None and pool_snapshot.get("kernels"):
-            # Same story for the kernel layer: the backends doing the
-            # fused work live in the workers.
-            kernel_stats = pool_snapshot["kernels"]
-        else:
-            kernel_stats = compute.kernel_stats()
         batch_summary = None
         if hasattr(program, "batch_stats"):
             batch_summary = program.batch_stats()
@@ -918,10 +775,9 @@ class GraphReduce:
             iteration_stats=iteration_stats,
             observer=obs if obs.enabled else None,
             engine_snapshots=engine_snapshots,
-            plan_cache=plan_cache_stats,
-            kernels=kernel_stats,
+            plan_cache=plans.stats() if plans.enabled else None,
+            kernels=compute.kernel_stats(),
             prefetch=prefetcher.snapshot() if prefetcher is not None else None,
-            procpool=pool_snapshot,
             telemetry=telemetry_summary,
             direction_decisions=(
                 controller.decisions if controller is not None else None
@@ -938,7 +794,6 @@ class GraphReduce:
         with_state,
         resident_bytes,
         obs,
-        warm=True,
         telemetry=None,
     ):
         """Lazy sharded view + budgeted prefetcher over ``shard_store``.
@@ -948,9 +803,6 @@ class GraphReduce:
         shards (plus their interval's share of vertex staging and the
         resident vertex arrays) fit the budget. No budget -> every
         shard may stay resident, like a host whose RAM fits the graph.
-        ``warm=False`` (the process-pool backend) spawns no warming
-        threads: the pool's workers memmap their own pinned shards, so
-        main-process prefetching would only double-fault the data.
         """
         store = self.shard_store
         if opts.num_partitions and opts.num_partitions != store.num_partitions:
@@ -978,7 +830,7 @@ class GraphReduce:
             )
         else:
             capacity = store.num_partitions
-        workers = opts.prefetch_workers if (opts.host_prefetch and warm) else 0
+        workers = opts.prefetch_workers if opts.host_prefetch else 0
         key = (unit_weights, capacity, workers)
         if carried is not None and carried["key"] == key:
             prefetcher = carried["prefetcher"]

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,6 +62,14 @@ IN_DEGREES = "degrees.in.npy"
 
 #: sub-array file suffixes per layout ("csc" / "csr")
 _PARTS = ("indptr", "indices", "eids", "weights")
+
+#: ``np.load`` parses each ``.npy`` header with ``ast.literal_eval``,
+#: which some CPython 3.11 releases do not make thread-safe (concurrent
+#: calls can raise ``SystemError: AST constructor recursion depth
+#: mismatch``). The prefetcher's warming threads open shards
+#: concurrently, so header parsing is serialized; the mapped bytes are
+#: not read under the lock.
+_NPY_OPEN_LOCK = threading.Lock()
 
 
 def _shard_file(index: int, layout: str, part: str) -> str:
@@ -293,7 +302,10 @@ class ShardStore:
         is cache-line aligned.
         """
         def load(layout: str, part: str):
-            return np.load(self.path / _shard_file(index, layout, part), mmap_mode="r")
+            with _NPY_OPEN_LOCK:
+                return np.load(
+                    self.path / _shard_file(index, layout, part), mmap_mode="r"
+                )
 
         csc = CSR(load("csc", "indptr"), load("csc", "indices"), load("csc", "eids"))
         csr = CSR(load("csr", "indptr"), load("csr", "indices"), load("csr", "eids"))

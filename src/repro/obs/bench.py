@@ -215,159 +215,6 @@ def _ooc_wallclock_case(shard_store=None, memory_budget=None) -> WallclockCase:
     )
 
 
-def _procpool_wallclock_case() -> WallclockCase:
-    """Process pool vs thread pool on GIL-bound per-shard host work.
-
-    Both sides run the same shard-parallel PageRank with the dense fast
-    path and plan cache off, so every shard phase rebuilds its sparse
-    gather/scatter plans -- host work dominated by many small NumPy and
-    Python steps that hold the GIL. Threads serialize on that work; the
-    process pool runs it on independent interpreters against zero-copy
-    shared-memory shard arrays, so the ratio isolates the GIL escape.
-
-    The floor applies only on multi-core hosts: on a single core the
-    pool's publish/IPC overhead has no parallelism to buy it back, so
-    the case records the ratio without gating it.
-    """
-    import os
-
-    from repro.algorithms import PageRank
-    from repro.core.runtime import GraphReduce, GraphReduceOptions
-    from repro.graph.generators import erdos_renyi
-
-    cores = os.cpu_count() or 1
-    workers = max(2, min(4, cores))
-    common = dict(
-        cache_policy="never",
-        num_partitions=8,
-        observe=False,
-        trace=False,
-        dense_fast_path=False,
-        plan_cache=False,
-        parallel_shards=workers,
-    )
-    fast = GraphReduceOptions(**common, parallel_backend="processes")
-    slow = GraphReduceOptions(**common, parallel_backend="threads")
-    metrics = GraphReduceOptions(
-        cache_policy="never",
-        num_partitions=8,
-        dense_fast_path=False,
-        plan_cache=False,
-        parallel_shards=workers,
-        parallel_backend="processes",
-    )
-    edges = erdos_renyi(65_536, 1_000_000, seed=7, name="er-wallclock")
-    return WallclockCase(
-        engines={
-            "fast": GraphReduce(edges, options=fast),
-            "slow": GraphReduce(edges, options=slow),
-        },
-        make_program=lambda: PageRank(tolerance=None, max_iterations=25),
-        metrics_engine=GraphReduce(edges, options=metrics),
-        min_speedup=1.5 if cores >= 2 else 0.0,
-    )
-
-
-def _cluster_wallclock_case() -> WallclockCase:
-    """Partitioned-ownership cluster pool vs the replicated process pool.
-
-    Both sides run the same shard-parallel PageRank; the slow side is
-    the PR-5 process pool (every worker attaches the full shard arrays
-    and the main process republishes full state each phase), the fast
-    side is the cluster backend (each worker holds only its owned shard
-    slice and receives sparse boundary deltas through a fixed-slot
-    mailbox). Results are bit-identical by contract; the floor applies
-    only on multi-core hosts, where skipping the full-state publish is
-    the win being gated.
-
-    ``extra`` gates the memory claim -- the peak per-worker resident
-    footprint must sit measurably below the single-process footprint --
-    and the committed 1->8 multi-device scaling floor: the simulated
-    scheduler is deterministic, so the scaling ratio is machine-
-    independent and gated on every run, including ``--update``.
-    """
-    import os
-
-    from repro.algorithms import PageRank
-    from repro.core.runtime import GraphReduce, GraphReduceOptions
-    from repro.graph.generators import erdos_renyi
-
-    cores = os.cpu_count() or 1
-    workers = 2
-    common = dict(
-        cache_policy="never",
-        num_partitions=8,
-        observe=False,
-        trace=False,
-        dense_fast_path=False,
-        plan_cache=False,
-        parallel_shards=workers,
-    )
-    fast = GraphReduceOptions(**common, parallel_backend="cluster")
-    slow = GraphReduceOptions(**common, parallel_backend="processes")
-    metrics = GraphReduceOptions(
-        cache_policy="never",
-        num_partitions=8,
-        dense_fast_path=False,
-        plan_cache=False,
-        parallel_shards=workers,
-        parallel_backend="cluster",
-    )
-    edges = erdos_renyi(65_536, 1_000_000, seed=7, name="er-wallclock")
-    make_program = lambda: PageRank(tolerance=None, max_iterations=25)
-
-    def extra(metrics_result):
-        pp = metrics_result.procpool or {}
-        resident = pp.get("worker_resident_bytes") or []
-        single = pp.get("single_process_bytes", 0)
-        peak = max(resident) if resident else 0
-        if not single or peak >= 0.7 * single:
-            raise AssertionError(
-                f"cluster peak per-worker resident {peak} B is not below "
-                f"70% of the single-process footprint {single} B"
-            )
-        from repro.core.multigpu import MultiGPUGraphReduce
-
-        mg_opts = GraphReduceOptions(
-            cache_policy="never", num_partitions=8, observe=False, trace=False
-        )
-        one = MultiGPUGraphReduce(edges, num_devices=1, options=mg_opts).run(
-            make_program()
-        )
-        eight = MultiGPUGraphReduce(
-            edges, num_devices=8, options=mg_opts, frontier_policy="partitioned"
-        ).run(make_program())
-        scaling = one.sim_time / eight.sim_time if eight.sim_time else 0.0
-        floor = 2.0  # deterministic sim: machine-independent
-        if scaling < floor:
-            raise AssertionError(
-                f"multi-device 1->8 scaling {scaling:.2f}x fell below the "
-                f"{floor:.2f}x floor"
-            )
-        return {
-            "worker_resident_peak_bytes": int(peak),
-            "single_process_bytes": int(single),
-            "boundary_bytes_sent": int(pp.get("boundary_bytes_sent", 0)),
-            "mailbox_stalls": int(pp.get("mailbox_stalls", 0)),
-            "multigpu_scaling_8": scaling,
-            "multigpu_scaling_floor": floor,
-            "multigpu_replication_bytes_8": int(eight.replication_bytes),
-            "multigpu_p2p_bytes_8": int(eight.p2p_bytes),
-            "multigpu_host_staged_bytes_8": int(eight.host_staged_bytes),
-        }
-
-    return WallclockCase(
-        engines={
-            "fast": GraphReduce(edges, options=fast),
-            "slow": GraphReduce(edges, options=slow),
-        },
-        make_program=make_program,
-        metrics_engine=GraphReduce(edges, options=metrics),
-        min_speedup=0.8 if cores >= 2 else 0.0,
-        extra=extra,
-    )
-
-
 def _wallclock_cases(shard_store=None, memory_budget=None) -> dict[str, Callable]:
     """name -> zero-arg factory returning a :class:`WallclockCase`.
 
@@ -425,8 +272,6 @@ def _wallclock_cases(shard_store=None, memory_budget=None) -> dict[str, Callable
         "ooc_pagerank_wallclock": lambda: _ooc_wallclock_case(shard_store, memory_budget),
         "batch_bfs_wallclock": _batch_bfs_wallclock_case,
         "batch_pagerank_wallclock": _batch_pagerank_wallclock_case,
-        "procpool_pagerank_wallclock": _procpool_wallclock_case,
-        "cluster_pagerank_wallclock": _cluster_wallclock_case,
         "telemetry_pagerank_wallclock": _telemetry_overhead_wallclock_case,
         "numba_pagerank_wallclock": _numba_wallclock_case,
     }
@@ -912,6 +757,26 @@ def run_wallclock_suite(
             if case.extra is not None:
                 m.update(case.extra(metrics_r))
             out[name] = m
+        finally:
+            if case.cleanup is not None:
+                case.cleanup()
+    return out
+
+
+def run_wallclock_metrics() -> dict:
+    """Deterministic simulated metrics of the wall-clock cases, untimed.
+
+    Builds each case, runs only its ``metrics_engine`` once and cleans
+    up: the fields :func:`compare` reads (``sim_time``, ``memcpy_time``,
+    ``kernel_time``, ``phases``) come from that run alone, so
+    ``repro bench-check`` gates them without timing every engine. The
+    fast/slow equality asserts stay in :func:`run_wallclock_suite`.
+    """
+    out = {}
+    for name, factory in sorted(_wallclock_cases().items()):
+        case = factory()
+        try:
+            out[name] = measure(case.metrics_engine.run(case.make_program()))
         finally:
             if case.cleanup is not None:
                 case.cleanup()

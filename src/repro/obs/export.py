@@ -28,9 +28,6 @@ DEVICE_PID = 2
 #: Its timestamps are *wall-clock* seconds since the prefetcher started,
 #: not simulated seconds -- a separate pid keeps the two clocks apart.
 HOST_PID = 3
-#: Process-pool runs add a fourth process: one wall-clock row per pool
-#: worker, showing which shard task each worker executed and when.
-POOL_PID = 4
 
 
 def _json_safe(value):
@@ -145,55 +142,13 @@ def _prefetch_events(prefetch) -> list[dict]:
     return events
 
 
-def _procpool_events(procpool) -> list[dict]:
-    """The process-pool lanes: one wall-clock row per worker.
-
-    ``procpool`` is a :meth:`ProcessPool.snapshot` dict whose ``"lane"``
-    entry lists ``(worker_id, shard, t0, t1)`` tuples -- wall-clock
-    seconds since the pool started, measured inside the worker around
-    one shard task.
-    """
-    lane = (procpool or {}).get("lane") or []
-    if not lane:
-        return []
-    workers = sorted({int(w) for w, _, _, _ in lane})
-    events: list[dict] = [
-        {"ph": "M", "pid": POOL_PID, "name": "process_name", "args": {"name": "pool"}},
-    ]
-    for w in workers:
-        events.append(
-            {
-                "ph": "M",
-                "pid": POOL_PID,
-                "tid": w + 1,
-                "name": "thread_name",
-                "args": {"name": f"pool worker {w} (wall clock)"},
-            }
-        )
-    for worker, shard, t0, t1 in lane:
-        events.append(
-            {
-                "ph": "X",
-                "pid": POOL_PID,
-                "tid": int(worker) + 1,
-                "ts": float(t0) * US,
-                "dur": (float(t1) - float(t0)) * US,
-                "name": f"shard {int(shard)}",
-                "cat": "procpool.task",
-                "args": {"shard": int(shard), "worker": int(worker)},
-            }
-        )
-    return events
-
-
-def to_chrome_trace(observer=None, trace=None, prefetch=None, procpool=None) -> dict:
+def to_chrome_trace(observer=None, trace=None, prefetch=None) -> dict:
     """Merge an observer's spans and a device trace into one document.
 
     Either source may be None. The result is a valid trace_event JSON
     object; extra top-level keys (``metrics``) are ignored by viewers.
     ``prefetch`` (a HostPrefetcher snapshot) adds the out-of-core host
-    lane as a third process; ``procpool`` (a ProcessPool snapshot) adds
-    per-worker lanes as a fourth.
+    lane as a third process.
     """
     events: list[dict] = [
         {"ph": "M", "pid": RUNTIME_PID, "name": "process_name", "args": {"name": "runtime"}},
@@ -207,7 +162,6 @@ def to_chrome_trace(observer=None, trace=None, prefetch=None, procpool=None) -> 
     if trace is not None:
         events.extend(_interval_events(trace))
     events.extend(_prefetch_events(prefetch))
-    events.extend(_procpool_events(procpool))
     return doc
 
 
@@ -217,7 +171,6 @@ def result_to_chrome_trace(result) -> dict:
         observer=getattr(result, "observer", None),
         trace=getattr(result, "trace", None),
         prefetch=getattr(result, "prefetch", None),
-        procpool=getattr(result, "procpool", None),
     )
 
 

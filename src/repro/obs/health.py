@@ -1,8 +1,8 @@
 """Health watchdog: heartbeats, stall detection, incident events.
 
 Long-lived runs (and the planned query daemon) need to know that every
-moving part is still moving: the main iteration loop, the procpool
-workers, the prefetcher's warming threads. Each component registers a
+moving part is still moving: the main iteration loop and the
+prefetcher's warming threads. Each component registers a
 **heartbeat** in a :class:`HeartbeatRegistry` and beats it whenever it
 makes progress; the :class:`Watchdog` periodically inspects the
 registry and raises a structured :class:`Incident` when a *busy*
@@ -11,23 +11,21 @@ component has not beaten within the stall timeout.
 Two design points keep false positives out:
 
 * A component is only eligible for stall detection while its ``busy``
-  flag is set. Idle pool workers block on their task queue and beat
-  nothing -- that is healthy, not a hang -- so the pool marks a worker
-  busy at dispatch and idle when its result arrives. Clean shutdown
-  unregisters the component entirely.
+  flag is set. An idle warming thread blocks on its queue and beats
+  nothing -- that is healthy, not a hang -- so a component is marked
+  busy only while it has work in hand. Clean shutdown unregisters the
+  component entirely.
 * Incidents are edge-triggered: one ``stall`` incident when a component
   crosses the timeout, one ``recovered`` when it beats again. A stalled
-  worker does not spam one incident per poll.
+  component does not spam one incident per poll.
 
 The watchdog publishes every incident to the telemetry bus (when one is
 attached) as an ``incident`` record, keeps them all in ``incidents``
 for post-hoc inspection, and exposes :meth:`Watchdog.check` so tests
 can drive detection with a fake clock instead of sleeping.
 
-Escalation is the caller's job: the process pool performs its own
-stall check at the one place it can act on it (the blocking result
-wait), raising :class:`~repro.core.procpool.WorkerCrashed` so the
-runtime's existing serial-fallback path takes over.
+Escalation is the caller's job: a component that detects its own
+failure reports it through :meth:`Watchdog.incident`.
 """
 
 from __future__ import annotations
@@ -227,7 +225,7 @@ class Watchdog:
     def check_threads(self, baseline: set[int] | None = None) -> list[Incident]:
         """Flag still-running runtime-owned threads (leak detection).
 
-        Call after the run's pools and prefetchers have shut down: any
+        Call after the run's executor and prefetcher have shut down: any
         surviving thread whose name carries one of the known prefixes
         (minus ``baseline`` idents, captured before the run) leaked.
         """
@@ -263,8 +261,7 @@ class Watchdog:
             self.bus.emit("incident", **fields)
 
     def incident(self, incident: Incident) -> None:
-        """Record (and publish) an externally detected incident --
-        the process pool's escalation path reports through this."""
+        """Record (and publish) an externally detected incident."""
         with self._lock:
             self.incidents.append(incident)
         self._publish([incident])

@@ -8,8 +8,8 @@ records (see :mod:`repro.obs.telemetry`); this module reads them back:
   writer may be mid-append when we read).
 * :class:`MonitorState` -- folds records into the latest view of the
   run (iterations/sec, frontier, plan-cache and prefetch rates,
-  per-worker heartbeat age, incident log) and checks health
-  expectations for CI (``--expect-workers``, ``--fail-on-incident``).
+  per-component heartbeat age, incident log) and checks health
+  expectations for CI (``--fail-on-incident``).
 * :func:`render` -- the terminal view ``repro monitor`` repaints.
 * :func:`fold_stream` -- reduce a finished stream to a report document
   (``telemetry_version`` 1) that ``repro bench-diff`` can diff.
@@ -113,27 +113,11 @@ class MonitorState:
     def heartbeats(self) -> dict:
         return self.last_snapshot.get("heartbeats", {})
 
-    def workers(self) -> dict:
-        """``{name: age}`` for heartbeat components of kind 'worker'."""
-        return {
-            name: hb.get("age", 0.0)
-            for name, hb in self.heartbeats.items()
-            if hb.get("kind") == "worker"
-        }
-
-    def problems(self, expect_workers: int | None = None,
-                 fail_on_incident: bool = False) -> list[str]:
+    def problems(self, fail_on_incident: bool = False) -> list[str]:
         """Health-expectation violations, empty when all is well."""
         out = []
         if not self.run and not self.last_snapshot:
             out.append("no telemetry records seen")
-        if expect_workers is not None:
-            seen = self.workers()
-            if len(seen) < expect_workers:
-                out.append(
-                    f"expected heartbeats from {expect_workers} workers, "
-                    f"saw {len(seen)}: {sorted(seen) or 'none'}"
-                )
         if fail_on_incident:
             real = [
                 i for i in self.incidents
@@ -174,7 +158,6 @@ def render(state: MonitorState) -> str:
         sources = snap.get("sources", {})
         cache = sources.get("plan_cache", {})
         prefetch = sources.get("prefetch", {})
-        pool = sources.get("procpool", {})
         parts = []
         if cache:
             parts.append(f"plan-cache hit {_rate(cache)}")
@@ -182,11 +165,6 @@ def render(state: MonitorState) -> str:
             parts.append(
                 f"prefetch hit {_rate(prefetch, 'hits', 'faults')} "
                 f"waits {prefetch.get('waits', 0)}"
-            )
-        if pool:
-            parts.append(
-                f"pool {pool.get('workers', '-')}w "
-                f"{pool.get('tasks', 0)} tasks"
             )
         if parts:
             lines.append("  ".join(parts))

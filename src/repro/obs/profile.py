@@ -240,11 +240,6 @@ class ProfileReport:
     plan_cache: dict = field(default_factory=dict)
     #: host shard-prefetch counters of out-of-core runs (repro.core.movement)
     prefetch: dict = field(default_factory=dict)
-    #: process-pool backend counters (repro.core.procpool); when the
-    #: run used ``--parallel-backend cluster`` this carries the
-    #: partitioned-ownership counters too (worker_resident_bytes,
-    #: boundary_bytes_sent, mailbox stalls, ...)
-    procpool: dict = field(default_factory=dict)
     #: multi-device scaling projection (``repro profile --devices N``):
     #: the same run re-executed on the simulated multi-device scheduler
     devices: dict = field(default_factory=dict)
@@ -276,7 +271,6 @@ class ProfileReport:
             "histograms": self.histograms,
             "plan_cache": self.plan_cache,
             "prefetch": self.prefetch,
-            "procpool": self.procpool,
             "devices": self.devices,
             "kernels": self.kernels,
             "verdict": self.verdict.to_dict(),
@@ -312,8 +306,6 @@ class ProfileReport:
             self._plan_cache_line(),
             self._kernels_line(),
             self._prefetch_line(),
-            self._procpool_line(),
-            self._cluster_line(),
             self._devices_line(),
             "",
             f"bottleneck         : {self.verdict.bottleneck} "
@@ -399,37 +391,6 @@ class ProfileReport:
         if pf.get("runs", 1) > 1:
             line += f", kept warm across {pf['runs']} runs"
         return line
-
-    def _procpool_line(self) -> str:
-        pp = self.procpool
-        if not pp.get("tasks"):
-            return "process pool       : n/a (serial or thread backend)"
-        return (
-            f"process pool       : {pp.get('workers', 0)} workers, "
-            f"{pp.get('tasks', 0)} shard tasks "
-            f"(max {pp.get('max_inflight', 0)} in flight), "
-            f"publish {pp.get('publish_seconds', 0.0):.3f} s, "
-            f"wait {pp.get('wait_seconds', 0.0):.3f} s"
-        )
-
-    def _cluster_line(self) -> str:
-        pp = self.procpool
-        if pp.get("backend") != "cluster":
-            return "cluster            : n/a (not the cluster backend)"
-        resident = pp.get("worker_resident_bytes") or []
-        peak = max(resident) if resident else 0
-        single = pp.get("single_process_bytes", 0) or 0
-        frac = f" ({100 * peak / single:.0f}% of single-process)" if single else ""
-        owned = "/".join(str(c) for c in pp.get("owned_shards", []))
-        return (
-            f"cluster            : {pp.get('workers', 0)} owners "
-            f"(shards {owned}), frontier {pp.get('frontier_policy', '?')}, "
-            f"peak resident {peak / 2**20:.2f} MiB{frac}; "
-            f"boundary {pp.get('boundary_bytes_sent', 0) / 2**20:.2f} MiB sent, "
-            f"deltas {pp.get('delta_bytes_merged', 0) / 2**20:.2f} MiB merged, "
-            f"{pp.get('mailbox_stalls', 0)}/{pp.get('mailbox_publishes', 0)} "
-            "mailbox stalls"
-        )
 
     def _devices_line(self) -> str:
         d = self.devices
@@ -639,14 +600,6 @@ def build_profile(result, machine=None, tolerance: float = MODEL_TOLERANCE) -> P
                 "hit_rate": hits / acquired,
             }
 
-    # -- process pool (repro.core.procpool) ----------------------------
-    procpool = getattr(result, "procpool", None)
-    if procpool is not None:
-        # The wall-clock worker lane belongs in the Chrome trace.
-        procpool = {k: v for k, v in procpool.items() if k != "lane"}
-    else:
-        procpool = {}
-
     # -- fused kernel layer (repro.core.kernels) -----------------------
     kernels = getattr(result, "kernels", None)
     if kernels is None:
@@ -682,7 +635,6 @@ def build_profile(result, machine=None, tolerance: float = MODEL_TOLERANCE) -> P
         validation=validation,
         plan_cache=plan_cache,
         prefetch=prefetch,
-        procpool=procpool,
         kernels=kernels,
     )
 

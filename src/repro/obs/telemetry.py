@@ -229,7 +229,7 @@ class RunTelemetry:
     ``snapshot`` record when one is due), and :meth:`finish` from its
     ``finally`` block -- so even a failed setup emits ``run_end`` and
     closes the sink. Components that expose a ``snapshot()`` dict
-    (process pool, prefetcher, plan cache) register as *sources* and
+    (prefetcher, plan cache, batch ledger) register as *sources* and
     get polled into every snapshot record.
     """
 

@@ -4,7 +4,7 @@ The contract under test: every query in a batch is *bit-identical* to
 the solo run it replaces -- same values, same retirement iteration as
 the solo push schedule -- across program families, state layouts,
 storage tiers (in-RAM vs shard store), shard backends (serial, thread
-pool, process pool) and kernel backends. The batch is a pure
+threads) and kernel backends. The batch is a pure
 scan-sharing rewrite; nothing about any individual query's answer may
 change.
 """
@@ -113,12 +113,11 @@ def test_batch_matches_solo(family, layout, placement, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Backend matrix: shard pools and kernel backends
+# Backend matrix: shard threads and kernel backends
 # ----------------------------------------------------------------------
 
 BACKENDS = [
-    pytest.param(dict(parallel_shards=2, parallel_backend="threads"), id="threads"),
-    pytest.param(dict(parallel_shards=2, parallel_backend="processes"), id="processes"),
+    pytest.param(dict(parallel_shards=2), id="threads"),
     pytest.param(
         dict(kernel_backend="numba"),
         id="numba",

@@ -320,3 +320,49 @@ def test_epoch_bumps_on_mask_mutations():
     assert (frontier.changed_epochs > before).all()
     frontier.activate_all()
     assert frontier.current.all()
+
+
+# ----------------------------------------------------------------------
+# Plan-cache LRU byte budget
+# ----------------------------------------------------------------------
+def test_plan_cache_budget_evicts_and_preserves_results():
+    g = build("er_mid")
+    make = PROGRAMS["pagerank_power"]
+    unbounded = GraphReduce(
+        g, options=GraphReduceOptions(num_partitions=3, plan_cache_budget=None)
+    ).run(make())
+    assert unbounded.plan_cache["evictions"] == 0
+    assert unbounded.plan_cache["budget_bytes"] is None
+    # A budget far below one shard's plan footprint forces evictions on
+    # every reuse attempt; semantics must be untouched.
+    tiny = GraphReduce(
+        g, options=GraphReduceOptions(num_partitions=3, plan_cache_budget=64)
+    ).run(make())
+    assert tiny.plan_cache["evictions"] > 0
+    assert tiny.plan_cache["budget_bytes"] == 64
+    assert np.array_equal(tiny.vertex_values, unbounded.vertex_values)
+    assert tiny.frontier_history == unbounded.frontier_history
+    assert tiny.sim_time == unbounded.sim_time
+    assert _kernel_items(tiny) == _kernel_items(unbounded)
+
+
+def test_plan_cache_budget_bounds_held_bytes():
+    g = build("er_mid")
+    budget = 32 * 1024
+    result = GraphReduce(
+        g, options=GraphReduceOptions(num_partitions=3, plan_cache_budget=budget)
+    ).run(PROGRAMS["pagerank"]())
+    pc = result.plan_cache
+    # The LRU keeps at least the most recent plan even when it alone
+    # exceeds the budget; with several shards cached, held bytes must
+    # settle at or below the budget after evictions.
+    assert pc["evictions"] > 0 or pc["held_bytes"] <= budget
+
+
+def test_plan_cache_counts_evictions_in_metrics():
+    g = build("er_mid")
+    result = GraphReduce(
+        g, options=GraphReduceOptions(num_partitions=3, plan_cache_budget=64)
+    ).run(PROGRAMS["pagerank_power"]())
+    metrics = result.observer.metrics
+    assert metrics.value("plans.evictions") == result.plan_cache["evictions"]

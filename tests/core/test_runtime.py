@@ -233,6 +233,23 @@ class TestModes:
         with pytest.raises(ValueError, match="cache_policy"):
             GraphReduce(g, options=GraphReduceOptions(cache_policy="maybe")).run(BFS())
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("direction", "sideways"),
+            ("cache_policy", "maybe"),
+            ("execution_mode", "speculative"),
+            ("host_backing", "tape"),
+            ("kernel_backend", "fortran"),
+            ("parallel_shards", -1),
+        ],
+    )
+    def test_bad_option_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GraphReduceOptions(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            GraphReduceOptions().replace(**{field: value})
+
     def test_max_iterations_cuts_off(self):
         g = path_graph(100)
         r = GraphReduce(g).run(BFS(source=0), max_iterations=5)

@@ -358,3 +358,41 @@ class TestRuntimeIntegration:
         engine = GraphReduce(shard_store=store, options=GraphReduceOptions(num_partitions=3))
         with pytest.raises(ValueError, match="partition"):
             engine.run(PageRank(tolerance=None, max_iterations=2))
+
+
+def _prefetch_threads() -> list:
+    return [t for t in threading.enumerate() if t.name.startswith("shard-prefetch")]
+
+
+# ----------------------------------------------------------------------
+# Prefetcher lifetime when an iteration raises mid-run
+# ----------------------------------------------------------------------
+class ExplodingPageRank(PageRank):
+    def apply(self, ctx, vertex_ids, old_values, gathered, has_gathered, iteration):
+        if iteration >= 1:
+            raise RuntimeError("boom in apply")
+        return super().apply(ctx, vertex_ids, old_values, gathered, has_gathered, iteration)
+
+
+def test_prefetcher_threads_die_when_iteration_raises(tmp_path):
+    g = build("er_mid")
+    store = ShardStore.save(PartitionEngine().partition(g, 3), tmp_path / "s")
+    assert not _prefetch_threads()
+    with pytest.raises(RuntimeError, match="boom in apply"):
+        GraphReduce(
+            shard_store=store,
+            options=GraphReduceOptions(host_prefetch=True, prefetch_workers=2),
+        ).run(ExplodingPageRank(tolerance=1e-3))
+    # runtime's try/finally shuts the prefetcher down synchronously
+    # (shutdown(wait=True)), so no warming thread survives the raise.
+    assert not _prefetch_threads()
+
+
+def test_prefetcher_context_manager_shuts_down(tmp_path):
+    g = build("er_mid")
+    store = ShardStore.save(PartitionEngine().partition(g, 3), tmp_path / "s")
+    with pytest.raises(RuntimeError, match="mid-iteration"):
+        with HostPrefetcher(store, capacity=3, workers=2) as pf:
+            pf.schedule([0, 1, 2])
+            raise RuntimeError("mid-iteration")
+    assert not _prefetch_threads()

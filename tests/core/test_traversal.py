@@ -8,11 +8,10 @@ distances against the pure-Python references and against each other
 across execution backends and storage, plus structural parent-validity
 invariants that would catch a "right by accident" fixed point.
 
-Cost control: the full direction x backend x storage cross product is
-run serially in-RAM on every fixture graph; the expensive legs --
-process pools (one spawn per run) and on-disk shard stores -- run the
-full direction set on a representative subset (path/road/ER/R-MAT
-cover the frontier shapes that drive every code path).
+Cost control: the full direction x backend cross product runs in-RAM
+on every fixture graph; the expensive leg -- on-disk shard stores --
+runs the full direction set on a representative subset (path/road/ER/
+R-MAT cover the frontier shapes that drive every code path).
 
 The second half pins the DirectionController itself: the recorded
 per-iteration decisions must replay the Beamer alpha/beta hysteresis
@@ -36,9 +35,8 @@ from repro.graph.generators import erdos_renyi, grid_road, rmat
 
 DIRECTIONS = ("push", "pull", "auto")
 BACKENDS = {
-    "serial": dict(parallel_backend="serial"),
-    "threads": dict(parallel_shards=3, parallel_backend="threads"),
-    "processes": dict(parallel_shards=2, parallel_backend="processes"),
+    "serial": {},
+    "threads": dict(parallel_shards=3),
 }
 #: representative subset for the expensive legs (see module docstring)
 CORE_GRAPHS = ("path300", "road10x10", "er_small", "rmat_small")
@@ -141,25 +139,13 @@ def test_direction_matrix_kernel_backends(graph_name, kernel_backend):
 
 
 @pytest.mark.parametrize("graph_name", CORE_GRAPHS)
-def test_direction_matrix_processes(graph_name):
-    g = build(graph_name)
-    weighted = g.with_random_weights(seed=33)
-    for direction in DIRECTIONS:
-        opts = _options(direction, "processes")
-        r = GraphReduce(g, options=opts).run(BFSGather(source=0))
-        _check_bfs(g, r.vertex_values)
-        s = GraphReduce(weighted, options=opts).run(SSSP(source=0))
-        _check_sssp(weighted, s.vertex_values)
-
-
-@pytest.mark.parametrize("graph_name", CORE_GRAPHS)
 def test_direction_matrix_shard_store(graph_name, tmp_path):
     g = build(graph_name)
     store = ShardStore.save(
         PartitionEngine().partition(g, 3), tmp_path / "store"
     )
     for direction in DIRECTIONS:
-        for backend in ("serial", "threads", "processes"):
+        for backend in BACKENDS:
             opts = GraphReduceOptions(
                 direction=direction, **BACKENDS[backend]
             )
@@ -209,15 +195,6 @@ def test_delta_sssp_defers_out_of_bucket_work():
     )
     np.testing.assert_array_equal(plain.vertex_values, delta.vertex_values)
     assert delta.iterations > plain.iterations
-
-
-def test_delta_sssp_rejects_processes_backend():
-    g = build("er_small").with_random_weights(seed=1)
-    opts = GraphReduceOptions(
-        num_partitions=3, parallel_shards=2, parallel_backend="processes"
-    )
-    with pytest.raises(ValueError, match="process_safe"):
-        GraphReduce(g, options=opts).run(DeltaSSSP(source=0))
 
 
 def test_delta_sssp_validates_delta():
@@ -298,15 +275,6 @@ def test_sparse_bypass_leaves_dense_workloads_alone():
     )
     assert r.plan_cache["sparse_bypass"] == 0
     assert r.plan_cache["hits"] > 0
-
-
-def test_procpool_aggregates_sparse_bypass():
-    g = build("path300")
-    opts = GraphReduceOptions(
-        num_partitions=3, parallel_shards=2, parallel_backend="processes"
-    )
-    r = GraphReduce(g, options=opts).run(BFS(source=0))
-    assert r.plan_cache["sparse_bypass"] > 0
 
 
 # ----------------------------------------------------------------------

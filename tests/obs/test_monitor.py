@@ -31,7 +31,7 @@ def _rec(kind, **fields):
 
 def _stream():
     return [
-        _rec("run_start", algorithm="pagerank", backend="processes",
+        _rec("run_start", algorithm="pagerank", backend="threads",
              workers=2, pid=4242, wall_time=10.0),
         _rec("snapshot", iteration=0, frontier=8192, sim_time=0.001,
              iterations_per_sec=100.0, wall_time=10.5,
@@ -39,20 +39,18 @@ def _stream():
              heartbeats={
                  "main-loop": {"age": 0.0, "busy": True, "kind": "loop",
                                "beats": 1},
-                 "worker-0": {"age": 0.1, "busy": False, "kind": "worker",
-                              "beats": 4},
-                 "worker-1": {"age": 0.2, "busy": False, "kind": "worker",
-                              "beats": 4},
+                 "prefetcher": {"age": 0.1, "busy": False,
+                                "kind": "prefetcher", "beats": 4},
              }),
         _rec("snapshot", iteration=5, frontier=4096, sim_time=0.002,
              iterations_per_sec=200.0, wall_time=11.0,
              counters={"runtime.iterations": 6},
              sources={"plan_cache": {"hits": 3, "misses": 1}},
              heartbeats={
-                 "worker-0": {"age": 0.1, "busy": False, "kind": "worker",
-                              "beats": 9},
-                 "worker-1": {"age": 0.2, "busy": True, "kind": "worker",
-                              "beats": 9},
+                 "main-loop": {"age": 0.1, "busy": False, "kind": "loop",
+                               "beats": 6},
+                 "prefetcher": {"age": 0.2, "busy": True,
+                                "kind": "prefetcher", "beats": 9},
              }),
         _rec("run_end", iterations=6, converged=True, sim_time=0.002,
              incidents=0, wall_time=11.5),
@@ -119,25 +117,24 @@ def test_follow_stop_callback_ends_the_tail(tmp_path):
 # ----------------------------------------------------------------------
 # MonitorState health expectations
 # ----------------------------------------------------------------------
-def test_state_tracks_latest_view_and_workers():
+def test_state_tracks_latest_view():
     state = MonitorState()
     for r in _stream():
         state.ingest(r)
     assert state.records == 4 and state.snapshots == 2
     assert state.last_snapshot["iteration"] == 5
-    assert sorted(state.workers()) == ["worker-0", "worker-1"]
-    assert state.problems(expect_workers=2, fail_on_incident=True) == []
+    assert sorted(state.heartbeats) == ["main-loop", "prefetcher"]
+    assert state.problems(fail_on_incident=True) == []
 
 
-def test_problems_flag_missing_workers_and_incidents():
+def test_problems_flag_missing_records_and_incidents():
     state = MonitorState()
     assert state.problems() == ["no telemetry records seen"]
     for r in _stream():
         state.ingest(r)
-    [problem] = state.problems(expect_workers=4)
-    assert "expected heartbeats from 4 workers, saw 2" in problem
+    assert state.problems() == []
     state.ingest(_rec("incident", incident_kind="stall",
-                      component="worker-1", details="no heartbeat"))
+                      component="prefetcher", details="no heartbeat"))
     [problem] = state.problems(fail_on_incident=True)
     assert "incidents on the stream" in problem
     # 'recovered' incidents are informational, not failures.
@@ -145,7 +142,7 @@ def test_problems_flag_missing_workers_and_incidents():
     for r in _stream():
         healthy.ingest(r)
     healthy.ingest(_rec("incident", incident_kind="recovered",
-                        component="worker-1"))
+                        component="prefetcher"))
     assert healthy.problems(fail_on_incident=True) == []
 
 
@@ -154,10 +151,10 @@ def test_render_shows_the_live_view():
     for r in _stream()[:-1]:
         state.ingest(r)
     view = render(state)
-    assert "run: pagerank" in view and "backend=processes" in view
+    assert "run: pagerank" in view and "backend=threads" in view
     assert "iteration 5" in view and "frontier 4096" in view
     assert "plan-cache hit 0.75" in view
-    assert "worker-1" in view and "busy" in view
+    assert "prefetcher" in view and "busy" in view
     assert "incidents: none" in view
     state.ingest(_stream()[-1])
     assert "run ended: converged after 6 iterations" in render(state)
@@ -170,7 +167,7 @@ def test_fold_stream_builds_diffable_report():
     doc = fold_stream(_stream())
     assert doc["telemetry_version"] == 1
     assert doc["run"] == {
-        "algorithm": "pagerank", "backend": "processes", "workers": 2,
+        "algorithm": "pagerank", "backend": "threads", "workers": 2,
     }
     assert doc["records"] == 4 and doc["snapshots"] == 2
     assert doc["iterations"] == 6 and doc["converged"] is True
@@ -186,7 +183,7 @@ def test_fold_stream_builds_diffable_report():
 def test_metric_table_reads_telemetry_reports():
     table = metric_table(fold_stream(_stream()))
     [(name, row)] = table.items()
-    assert name == "telemetry:pagerank/processes"
+    assert name == "telemetry:pagerank/threads"
     assert row["iterations"] == 6.0
     assert row["frontier_peak"] == 8192.0
     assert row["incidents"] == 0.0
