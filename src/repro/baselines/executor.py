@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.api import GASProgram
-from repro.core.runtime import RuntimeContext
-from repro.graph.csr import build_csc, build_csr, ragged_gather
+from repro.core.runtime import RuntimeContext, run_iteration
+from repro.graph.csr import build_csc, build_csr, dense_gather, ragged_gather
 from repro.graph.edgelist import EdgeList
 
 
@@ -60,16 +60,28 @@ class ExecutionTrace:
         return len(self.profiles)
 
 
-def expected_touched_fraction(active: int, num_partitions: int) -> float:
-    """Expected fraction of partitions holding >= 1 of ``active`` vertices
+class _MaskFrontier:
+    """Bool-mask frontier with the members :func:`run_iteration` drives."""
 
-    under uniform placement -- the selectivity both GraphChi's intervals
-    and X-Stream's streaming partitions get from skipping quiet regions.
-    """
-    if active <= 0:
-        return 0.0
-    p_untouched = (1.0 - 1.0 / num_partitions) ** min(active, 10**6)
-    return float(1.0 - p_untouched)
+    def __init__(self, initial):
+        self.current = np.array(initial, dtype=bool)
+        self.next = np.zeros_like(self.current)
+        self.changed = np.zeros_like(self.current)
+
+    @property
+    def size(self) -> int:
+        return int(np.count_nonzero(self.current))
+
+    def activate_all(self) -> None:
+        self.current[:] = True
+
+    def set_current(self, mask) -> None:
+        self.current[:] = mask
+
+    def advance(self) -> None:
+        self.current, self.next = self.next, self.current
+        self.next[:] = False
+        self.changed[:] = False
 
 
 class HostGASExecutor:
@@ -95,76 +107,91 @@ class HostGASExecutor:
         bounds = np.linspace(0, n, p + 1).astype(np.int64)
         self._partition_of = np.searchsorted(bounds, np.arange(n), side="right") - 1
         self._csc_w = None if edges.weights is None else edges.weights[self.csc.edge_ids]
+        self._dense: dict[int, tuple] = {}  # id(CSC or CSR) -> dense_gather
 
     def run(self, max_iterations: int = 100_000) -> ExecutionTrace:
         prog, ctx = self.program, self.ctx
-        n = self.edges.num_vertices
         values = np.asarray(prog.init_vertices(ctx)).astype(prog.vertex_dtype, copy=False)
-        frontier = np.asarray(prog.init_frontier(ctx), dtype=bool)
+        frontier = _MaskFrontier(prog.init_frontier(ctx))
         edge_state = prog.init_edge_state(ctx)
         profiles: list[IterationProfile] = []
-        converged = False
         for iteration in range(max_iterations):
-            if prog.always_active:
-                frontier[:] = True
-            active = np.flatnonzero(frontier)
-            if len(active) == 0:
-                converged = True
-                break
-            if prog.converged(ctx, iteration, len(active)):
-                converged = True
-                break
-            # ---- gather -------------------------------------------------
-            gathered = np.full(len(active), prog.gather_identity, dtype=prog.gather_dtype)
-            has = np.zeros(len(active), dtype=bool)
-            gathered_edges = 0
-            if prog.has_gather:
-                pos, seg = ragged_gather(self.csc.indptr, active)
-                gathered_edges = len(pos)
-                if gathered_edges:
-                    src = self.csc.indices[pos]
-                    w = None if self._csc_w is None else self._csc_w[pos]
-                    st = None if edge_state is None else edge_state[self.csc.edge_ids[pos]]
-                    contrib = prog.gather_map(ctx, src, seg.astype(src.dtype), values[src], w, st)
-                    starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
-                    red = prog.gather_reduce.reduceat(contrib, starts)
-                    # seg values are *global* vertex ids; map back to the
-                    # position inside `active` (active is sorted).
-                    slot = np.searchsorted(active, seg[starts])
-                    gathered[slot] = red.astype(prog.gather_dtype, copy=False)
-                    has[slot] = True
-            # ---- apply --------------------------------------------------
-            new_vals, changed = prog.apply(ctx, active, values[active], gathered, has, iteration)
-            changed = np.asarray(changed, dtype=bool)
-            values[active] = np.asarray(new_vals).astype(prog.vertex_dtype, copy=False)
-            changed_ids = active[changed]
-            # ---- scatter + frontier activate ----------------------------
-            pos, seg = ragged_gather(self.csr.indptr, changed_ids)
-            dsts = self.csr.indices[pos]
-            if prog.has_scatter and len(pos):
-                eids = self.csr.edge_ids[pos]
-                w = None if self.edges.weights is None else self.edges.weights[eids]
-                st = None if edge_state is None else edge_state[eids]
-                out = prog.scatter(ctx, seg.astype(dsts.dtype), values[seg], w, st)
-                if edge_state is not None:
-                    edge_state[eids] = out
-            frontier = np.zeros(n, dtype=bool)
-            frontier[dsts] = True
-            local = int(
-                np.count_nonzero(self._partition_of[dsts] == self._partition_of[seg])
-            ) if len(pos) else 0
-            touched = int(len(np.unique(self._partition_of[active])))
-            incident = int((self.csc.indptr[active + 1] - self.csc.indptr[active]).sum())
-            profiles.append(
-                IterationProfile(
-                    active_vertices=len(active),
-                    active_in_edges=gathered_edges,
-                    incident_in_edges=incident,
-                    changed_vertices=len(changed_ids),
-                    changed_out_edges=len(pos),
-                    local_out_edges=local,
-                    touched_partitions=touched,
-                    num_partitions=self.num_partitions,
-                )
+            profile = run_iteration(
+                prog,
+                ctx,
+                iteration,
+                frontier,
+                values,
+                lambda: self._iteration(frontier, values, edge_state, iteration),
             )
-        return ExecutionTrace(values, profiles, converged)
+            if profile is None:
+                return ExecutionTrace(values, profiles, True)
+            profiles.append(profile)
+        return ExecutionTrace(values, profiles, frontier.size == 0)
+
+    def _edges_of(self, graph, rows):
+        """``(edge positions, per-edge row, segment starts or None)`` of
+        ``rows``' edges in ``graph`` (the CSC or CSR). With every vertex
+        selected the answer is topology alone (the dense fast path of
+        :mod:`repro.core.plans`): built once, positions span the arrays."""
+        if len(rows) < self.edges.num_vertices:
+            return (*ragged_gather(graph.indptr, rows), None)
+        dense = self._dense.get(id(graph))
+        if dense is None:
+            dense = self._dense[id(graph)] = dense_gather(graph.indptr)
+        return slice(None), dense[0], dense[1]
+
+    def _iteration(self, frontier, values, edge_state, iteration) -> IterationProfile:
+        """Gather, apply, scatter and activate over one frontier."""
+        prog, ctx, csc, csr = self.program, self.ctx, self.csc, self.csr
+        active = np.flatnonzero(frontier.current)
+        # ---- gather -----------------------------------------------------
+        gathered = np.full(len(active), prog.gather_identity, dtype=prog.gather_dtype)
+        has = np.zeros(len(active), dtype=bool)
+        gathered_edges = 0
+        if prog.has_gather:
+            pos, seg, starts = self._edges_of(csc, active)
+            gathered_edges = len(seg)
+            if gathered_edges:
+                if starts is None:
+                    starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
+                src = csc.indices[pos]
+                w = None if self._csc_w is None else self._csc_w[pos]
+                st = None if edge_state is None else edge_state[csc.edge_ids[pos]]
+                contrib = prog.gather_map(ctx, src, seg.astype(src.dtype), values[src], w, st)
+                red = prog.gather_reduce.reduceat(contrib, starts)
+                # seg values are *global* vertex ids; map back to the
+                # position inside `active` (active is sorted).
+                slot = np.searchsorted(active, seg[starts])
+                gathered[slot] = red.astype(prog.gather_dtype, copy=False)
+                has[slot] = True
+        # ---- apply ------------------------------------------------------
+        new_vals, changed = prog.apply(ctx, active, values[active], gathered, has, iteration)
+        changed = np.asarray(changed, dtype=bool)
+        values[active] = np.asarray(new_vals).astype(prog.vertex_dtype, copy=False)
+        changed_ids = active[changed]
+        frontier.changed[changed_ids] = True
+        # ---- scatter + frontier activate --------------------------------
+        pos, seg, _ = self._edges_of(csr, changed_ids)
+        dsts = csr.indices[pos]
+        if prog.has_scatter and len(seg):
+            eids = csr.edge_ids[pos]
+            w = None if self.edges.weights is None else self.edges.weights[eids]
+            st = None if edge_state is None else edge_state[eids]
+            out = prog.scatter(ctx, seg.astype(dsts.dtype), values[seg], w, st)
+            if edge_state is not None:
+                edge_state[eids] = out
+        frontier.next[dsts] = True
+        local = int(
+            np.count_nonzero(self._partition_of[dsts] == self._partition_of[seg])
+        ) if len(seg) else 0
+        return IterationProfile(
+            active_vertices=len(active),
+            active_in_edges=gathered_edges,
+            incident_in_edges=int((csc.indptr[active + 1] - csc.indptr[active]).sum()),
+            changed_vertices=len(changed_ids),
+            changed_out_edges=len(seg),
+            local_out_edges=local,
+            touched_partitions=int(len(np.unique(self._partition_of[active]))),
+            num_partitions=self.num_partitions,
+        )

@@ -9,10 +9,8 @@ migrates and each device's vertex intervals form one contiguous range.
 The resident vertex arrays are logically replicated, but the
 iteration-end exchange is *sparse*: each producer device publishes only
 the vertices **it owns that changed this iteration** (value + index),
-never the full array, and never other devices' changes (the legacy
-design all-gathered every changed vertex from every device to every
-device, an N^2 blow-up of redundant bytes). Two frontier policies
-govern what rides along:
+never the full array, and never other devices' changes. Two frontier
+policies govern what rides along:
 
 * ``replicated`` -- each producer ships the full frontier bitmap with
   its changed values, keeping complete bitmaps on every device (the
@@ -28,10 +26,16 @@ single peer-DMA link crossing; cross-switch pairs stage through host
 DRAM as a D2H + H2D pair. Both routes are enqueued on the simulated
 streams, so the scaling curve reflects the topology.
 
+:class:`MultiGPUGraphReduce` builds the N-device model and runs it
+through :meth:`GraphReduce._iterate`, the single-device engine's loop,
+so the loop-control rule (``always_active``, reseed, ``converged``,
+``end_iteration``) and ``direction`` act on N devices as on one.
+
 Semantics are exact: one shared :class:`ComputeEngine` executes every
 shard, so vertex values, iteration counts, and convergence are
-bit-identical regardless of device count or frontier policy -- only the
-performance plane (sim time, transfer bytes) changes.
+bit-identical to single-device GraphReduce regardless of device count
+or frontier policy -- only the performance plane (sim time, transfer
+bytes) changes.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from repro.core.ownership import (
     owned_vertex_mask,
 )
 from repro.core.partition import IDX_BYTES, PartitionEngine
-from repro.core.runtime import GraphReduce, GraphReduceOptions, RuntimeContext
+from repro.core.runtime import GraphReduce, GraphReduceOptions
 from repro.graph.edgelist import EdgeList
 from repro.sim.device import GPUDevice
 from repro.sim.engine import Simulator
@@ -94,6 +98,119 @@ class MultiGPUResult:
     per_device: list = field(default_factory=list)
 
 
+class _DeviceGroup:
+    """N-device model for :meth:`GraphReduce._iterate`.
+
+    A phase splits its selected shards by owner, issues each device's
+    share without a barrier, then synchronizes all devices; an iteration
+    ends with the sparse exchange, routed per ordered device pair.
+    """
+
+    def __init__(self, machine, opts, sharded, num_devices, frontier_policy, program):
+        self.sim = Simulator()
+        self.devices = [
+            GPUDevice(self.sim, machine.device, TraceRecorder())
+            for _ in range(num_devices)
+        ]
+        self.movements = [
+            DataMovementEngine(
+                dev,
+                sharded,
+                MovementConfig(async_streams=opts.async_streams, spray=opts.spray),
+                program.needs_weights,
+                program.edge_dtype is not None,
+            )
+            for dev in self.devices
+        ]
+        resident = GraphReduce._resident_buffers(program, sharded.num_vertices)
+        for movement in self.movements:
+            movement.upload_resident(resident)  # replicated vertex arrays
+            movement.reserve_stage_slots()
+
+        ownership = OwnershipMap.contiguous(sharded.num_partitions, num_devices)
+        ownership.validate()
+        self.owner = ownership.owner_of
+        self.owned_masks = [
+            owned_vertex_mask(sharded, ownership, d) for d in range(num_devices)
+        ]
+        self.pair_vids = (
+            boundary_matrix(sharded, ownership)
+            if frontier_policy == "partitioned"
+            else None
+        )
+        self.interconnect = InterconnectModel(machine.device, machine.link)
+        self.reports = [
+            DeviceReport(
+                device=d,
+                owned_shards=len(ownership.shards_of(d)),
+                owned_vertices=int(self.owned_masks[d].sum()),
+            )
+            for d in range(num_devices)
+        ]
+        self.vdt = np.dtype(program.vertex_dtype).itemsize
+        self.full_bitmap_bytes = sharded.num_vertices // 8 + 1
+        self.replication_bytes = self.p2p_bytes = self.host_staged_bytes = 0
+
+    def run_phase(self, group, shards, skipped, run_shard) -> None:
+        per_device: list[list] = [[] for _ in self.devices]
+        for shard in shards:
+            per_device[self.owner[shard.index]].append(shard)
+        for d, dev_shards in enumerate(per_device):
+            self.movements[d].run_phase(
+                group,
+                dev_shards,
+                skipped if d == 0 else 0,
+                run_shard,
+                barrier=False,  # devices proceed concurrently
+            )
+        for dev in self.devices:
+            dev.synchronize()  # BSP barrier across all devices
+
+    def end_iteration(self, frontier: FrontierManager) -> None:
+        # Sparse replication: each producer device publishes only the
+        # vertices it owns that changed this iteration. Routing and
+        # payload per ordered (producer, consumer) pair follow the
+        # switch topology and the frontier policy.
+        changed = frontier.changed
+        n = len(self.devices)
+        for d in range(n):
+            changed_owned = int(np.count_nonzero(changed[self.owned_masks[d]]))
+            for e in range(n):
+                if e == d:
+                    continue
+                if self.pair_vids is not None:
+                    vids = self.pair_vids.get((e, d))
+                    if vids is None:
+                        continue  # no edge crosses this pair
+                    k = int(np.count_nonzero(changed[vids]))
+                    payload = k * (self.vdt + IDX_BYTES) + (len(vids) + 7) // 8
+                else:
+                    payload = (
+                        changed_owned * (self.vdt + IDX_BYTES) + self.full_bitmap_bytes
+                    )
+                if self.interconnect.peer_capable(d, e):
+                    # One link crossing: peer DMA from d straight
+                    # into e's memory.
+                    self.movements[d].streams[0].memcpy_d2h(
+                        payload, label="replicate-peer"
+                    )
+                    self.p2p_bytes += payload
+                else:
+                    # Two crossings through host DRAM.
+                    self.movements[d].streams[0].memcpy_d2h(
+                        payload, label="replicate-out"
+                    )
+                    self.movements[e].streams[0].memcpy_h2d(
+                        payload, label="replicate-in"
+                    )
+                    self.host_staged_bytes += payload
+                self.replication_bytes += payload
+                self.reports[d].bytes_sent += payload
+                self.reports[e].bytes_received += payload
+        for dev in self.devices:
+            dev.synchronize()
+
+
 class MultiGPUGraphReduce:
     """GraphReduce across ``num_devices`` simulated accelerators."""
 
@@ -115,161 +232,40 @@ class MultiGPUGraphReduce:
 
     def run(self, program: GASProgram, max_iterations: int | None = None) -> MultiGPUResult:
         opts = self.options
-        program.validate()
-        edges = self.edges
-        if program.needs_weights and edges.weights is None:
-            edges = edges.with_unit_weights()
-        ctx = RuntimeContext(edges)
-        with_weights = program.needs_weights
-        with_state = program.edge_dtype is not None
-
-        resident_bytes = GraphReduce._resident_bytes(program, edges.num_vertices)
+        edges, ctx = GraphReduce._admit(program, opts, self.edges)
         p_per_device = opts.num_partitions or PartitionEngine.choose_num_partitions(
             edges,
             self.machine.device.memory_bytes,
-            with_weights,
-            with_state,
-            resident_bytes,
+            program.needs_weights,
+            program.edge_dtype is not None,
+            GraphReduce._resident_bytes(program, edges.num_vertices),
         )
         # At least one shard per device.
         p = max(p_per_device, self.num_devices)
         sharded = PartitionEngine().partition(edges, p, opts.partition_logic)
-
-        ownership = OwnershipMap.contiguous(p, self.num_devices)
-        ownership.validate()
-        owner = ownership.owner_of
-        owned_masks = [
-            owned_vertex_mask(sharded, ownership, d)
-            for d in range(self.num_devices)
-        ]
-        partitioned = self.frontier_policy == "partitioned"
-        pair_vids = boundary_matrix(sharded, ownership) if partitioned else {}
-
-        sim = Simulator()
-        devices = [
-            GPUDevice(sim, self.machine.device, TraceRecorder())
-            for _ in range(self.num_devices)
-        ]
-        movements = [
-            DataMovementEngine(
-                dev,
-                sharded,
-                MovementConfig(async_streams=opts.async_streams, spray=opts.spray),
-                with_weights,
-                with_state,
-            )
-            for dev in devices
-        ]
-        resident = GraphReduce._resident_buffers(program, edges.num_vertices)
-        for movement in movements:
-            movement.upload_resident(resident)  # replicated vertex arrays
-            movement.reserve_stage_slots()
-
+        model = _DeviceGroup(
+            self.machine, opts, sharded, self.num_devices, self.frontier_policy, program
+        )
         frontier = FrontierManager(
             sharded, np.asarray(program.init_frontier(ctx), dtype=bool)
         )
         compute = ComputeEngine(sharded, program, ctx, frontier)
         plan = build_plan(program, optimized=opts.fusion, fuse_gather=opts.fuse_gather)
-        interconnect = InterconnectModel(self.machine.device, self.machine.link)
-
-        reports = [
-            DeviceReport(
-                device=d,
-                owned_shards=len(ownership.shards_of(d)),
-                owned_vertices=int(owned_masks[d].sum()),
-            )
-            for d in range(self.num_devices)
-        ]
         limit = max_iterations if max_iterations is not None else opts.max_iterations
-        vdt = np.dtype(program.vertex_dtype).itemsize
-        full_bitmap_bytes = edges.num_vertices // 8 + 1
-        replication_bytes = 0
-        p2p_bytes = 0
-        host_staged_bytes = 0
-        converged = False
-        iteration = 0
-        while iteration < limit:
-            if frontier.size == 0:
-                converged = True
-                break
-            if program.converged(ctx, iteration, frontier.size):
-                converged = True
-                break
-            compute.begin_iteration(iteration)
-            for group in plan:
-                shards, skipped = GraphReduce._select_shards(group, sharded, frontier, opts)
-                per_device: list[list] = [[] for _ in range(self.num_devices)]
-                for shard in shards:
-                    per_device[owner[shard.index]].append(shard)
-                for d, dev_shards in enumerate(per_device):
-                    movements[d].run_phase(
-                        group,
-                        dev_shards,
-                        skipped if d == 0 else 0,
-                        lambda shard, g=group: compute.run_group(
-                            g.phases, shard, count_full=not opts.frontier_skipping
-                        ),
-                        barrier=False,  # devices proceed concurrently
-                    )
-                for dev in devices:
-                    dev.synchronize()  # BSP barrier across all devices
-            # Sparse replication: each producer device publishes only the
-            # vertices it owns that changed this iteration. Routing and
-            # payload per ordered (producer, consumer) pair follow the
-            # switch topology and the frontier policy.
-            changed = frontier.changed
-            for d in range(self.num_devices):
-                changed_owned = int(np.count_nonzero(changed[owned_masks[d]]))
-                for e in range(self.num_devices):
-                    if e == d:
-                        continue
-                    if partitioned:
-                        vids = pair_vids.get((e, d))
-                        if vids is None:
-                            continue  # no edge crosses this pair
-                        k = int(np.count_nonzero(changed[vids]))
-                        payload = k * (vdt + IDX_BYTES) + (len(vids) + 7) // 8
-                    else:
-                        payload = (
-                            changed_owned * (vdt + IDX_BYTES) + full_bitmap_bytes
-                        )
-                    if interconnect.peer_capable(d, e):
-                        # One link crossing: peer DMA from d straight
-                        # into e's memory.
-                        movements[d].streams[0].memcpy_d2h(
-                            payload, label="replicate-peer"
-                        )
-                        p2p_bytes += payload
-                    else:
-                        # Two crossings through host DRAM.
-                        movements[d].streams[0].memcpy_d2h(
-                            payload, label="replicate-out"
-                        )
-                        movements[e].streams[0].memcpy_h2d(
-                            payload, label="replicate-in"
-                        )
-                        host_staged_bytes += payload
-                    replication_bytes += payload
-                    reports[d].bytes_sent += payload
-                    reports[e].bytes_received += payload
-            for dev in devices:
-                dev.synchronize()
-            frontier.advance()
-            iteration += 1
-        else:
-            converged = frontier.size == 0
-
+        iterations, converged, _, _ = GraphReduce._iterate(
+            opts, program, ctx, model, frontier, compute, plan, limit
+        )
         return MultiGPUResult(
             vertex_values=compute.vertex_values,
-            iterations=iteration,
+            iterations=iterations,
             converged=converged,
-            sim_time=sim.now,
+            sim_time=model.sim.now,
             num_devices=self.num_devices,
             num_partitions=sharded.num_partitions,
             frontier_policy=self.frontier_policy,
-            memcpy_time=sum(d.trace.memcpy_time() for d in devices),
-            replication_bytes=replication_bytes,
-            p2p_bytes=p2p_bytes,
-            host_staged_bytes=host_staged_bytes,
-            per_device=reports,
+            memcpy_time=sum(d.trace.memcpy_time() for d in model.devices),
+            replication_bytes=model.replication_bytes,
+            p2p_bytes=model.p2p_bytes,
+            host_staged_bytes=model.host_staged_bytes,
+            per_device=model.reports,
         )

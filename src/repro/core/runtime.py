@@ -22,6 +22,7 @@ configuration; the default is everything on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter, sub
 
 import numpy as np
 
@@ -227,6 +228,51 @@ class RuntimeContext:
         return self._in_degrees
 
 
+def run_iteration(program: GASProgram, ctx, iteration: int, frontier, values, body):
+    """One iteration turn under the loop-control rule every loop shares.
+
+    ``always_active`` programs start each iteration fully active; an
+    empty frontier ends the run unless ``reseed_frontier`` re-activates
+    vertices; ``converged`` may end it early. Otherwise ``body()`` runs
+    the iteration and ``end_iteration`` sees its final ``values`` and
+    changed mask before the frontier advances. ``frontier`` needs
+    :class:`FrontierManager`'s ``size``, ``activate_all``,
+    ``set_current``, ``changed`` and ``advance``. Returns ``body()``'s
+    result, or None (``body`` not run) once the run has converged.
+    """
+    if program.always_active:
+        frontier.activate_all()
+    if frontier.size == 0:
+        reseed = program.reseed_frontier(ctx, values)
+        if reseed is None or not np.any(reseed):
+            return None
+        frontier.set_current(reseed)
+    if program.converged(ctx, iteration, frontier.size):
+        return None
+    result = body()
+    program.end_iteration(ctx, values, frontier.changed, iteration)
+    frontier.advance()
+    return result
+
+
+class _OneDevice:
+    """Single-device model for :meth:`GraphReduce._iterate`: one movement
+    engine streams every phase, and an iteration ends with the
+    frontier-bitmap copy-back."""
+
+    def __init__(self, sim, movement: DataMovementEngine, frontier_bytes: int, executor=None):
+        self.sim = sim
+        self.movements = [movement]
+        self.frontier_bytes = frontier_bytes
+        self.executor = executor
+
+    def run_phase(self, group, shards, skipped, run_shard) -> None:
+        self.movements[0].run_phase(group, shards, skipped, run_shard, executor=self.executor)
+
+    def end_iteration(self, frontier: FrontierManager) -> None:
+        self.movements[0].iteration_sync(self.frontier_bytes)
+
+
 @dataclass(frozen=True)
 class IterationStat:
     """Per-iteration accounting (the Figure-3/16 views plus traffic)."""
@@ -364,20 +410,7 @@ class GraphReduce:
     def run(self, program: GASProgram, max_iterations: int | None = None) -> GraphReduceResult:
         """Execute ``program`` to convergence on the simulated machine."""
         opts = self.options
-        program.validate()
-        if opts.direction != "push" and not (
-            program.pull_compatible and program.has_gather
-        ):
-            raise ValueError(
-                f"direction={opts.direction!r} needs a pull-compatible gather "
-                f"program; {type(program).__name__} is push-only (its apply "
-                "treats activation as information, so a superset frontier "
-                "would change results)"
-            )
-        edges = self.edges
-        if program.needs_weights and edges.weights is None:
-            edges = edges.with_unit_weights()
-        ctx = RuntimeContext(edges)
+        edges, ctx = self._admit(program, opts, self.edges)
 
         # --- Simulated device + observability --------------------------
         sim = Simulator()
@@ -417,7 +450,7 @@ class GraphReduce:
         # Initialized before the try so the telemetry run_end in the
         # finally block has defined values even when setup raises.
         converged = False
-        iteration = 0
+        frontier = None
         run_error = None
         # One try/finally covers everything from here on: the prefetcher
         # (and later the executor) own threads that must be released
@@ -573,20 +606,6 @@ class GraphReduce:
                 )
 
             # --- Iterations --------------------------------------------
-            controller = None
-            if opts.direction != "push":
-                controller = DirectionController(
-                    opts.direction,
-                    ctx.out_degrees,
-                    edges.num_edges,
-                    edges.num_vertices,
-                    alpha=opts.direction_alpha,
-                    beta=opts.direction_beta,
-                )
-            limit = max_iterations if max_iterations is not None else opts.max_iterations
-            frontier_bytes = edges.num_vertices // 8 + 1
-            iteration_stats: list[IterationStat] = []
-            end_hook = type(program).end_iteration is not GASProgram.end_iteration
             if threaded:
                 # Shards of one phase are independent in bsp mode and the
                 # heavy NumPy kernels release the GIL; async sweeps are
@@ -597,105 +616,20 @@ class GraphReduce:
                 executor = ThreadPoolExecutor(
                     max_workers=opts.parallel_shards, thread_name_prefix="shard-compute"
                 )
-            while iteration < limit:
-                if program.always_active:
-                    frontier.activate_all()
-                if frontier.size == 0:
-                    reseed = program.reseed_frontier(ctx, compute.vertex_values)
-                    if reseed is None or not np.any(reseed):
-                        converged = True
-                        break
-                    frontier.set_current(reseed)
-                if program.converged(ctx, iteration, frontier.size):
-                    converged = True
-                    break
-                frontier_size = frontier.size
-                direction = "push"
-                if controller is not None:
-                    direction = controller.choose(
-                        frontier.current, iteration, vids=frontier.compact_indices
-                    )
-                    if direction == "pull":
-                        # Bottom-up: run the iteration with every vertex
-                        # active. The natural next frontier still comes
-                        # from FA over the changed set, so termination
-                        # and the direction rule are unaffected.
-                        frontier.activate_all()
-                t0 = sim.now
-                h2d0, d2h0 = movement.stats.h2d_bytes, movement.stats.d2h_bytes
-                proc0, skip0 = movement.stats.shards_processed, movement.stats.shards_skipped
-                compute.begin_iteration(iteration)
-                movement.current_iteration = iteration
-                with obs.span(
-                    "iteration",
-                    category="iteration",
-                    index=iteration,
-                    frontier=frontier_size,
-                    direction=direction,
-                ) as it_span:
-                    for group in plan:
-                        shards, skipped = self._select_shards(group, sharded, frontier, opts)
-                        if prefetcher is not None:
-                            # Only the frontier-selected shards: skipped
-                            # shards are neither prefetched nor faulted.
-                            prefetcher.schedule([s.index for s in shards])
-                        if prefetcher is None:
-                            run_shard = (
-                                lambda shard, g=group: compute.run_group(
-                                    g.phases, shard, count_full=not opts.frontier_skipping
-                                )
-                            )
-                        else:
-                            def run_shard(shard, g=group, pf=prefetcher):
-                                pf.get(shard.index)
-                                return compute.run_group(
-                                    g.phases, shard, count_full=not opts.frontier_skipping
-                                )
-                        with obs.span(
-                            group.name,
-                            category="phase",
-                            selector=group.selector,
-                            shards=len(shards),
-                            skipped=skipped,
-                        ):
-                            movement.run_phase(
-                                group,
-                                shards,
-                                skipped,
-                                run_shard,
-                                executor=executor,
-                            )
-                    with obs.span("frontier", category="phase"):
-                        movement.iteration_sync(frontier_bytes)
-                    it_span.set(
-                        h2d_bytes=movement.stats.h2d_bytes - h2d0,
-                        d2h_bytes=movement.stats.d2h_bytes - d2h0,
-                    )
-                iteration_stats.append(
-                    IterationStat(
-                        iteration=iteration,
-                        frontier_size=frontier_size,
-                        h2d_bytes=movement.stats.h2d_bytes - h2d0,
-                        d2h_bytes=movement.stats.d2h_bytes - d2h0,
-                        sim_seconds=sim.now - t0,
-                        shards_processed=movement.stats.shards_processed - proc0,
-                        shards_skipped=movement.stats.shards_skipped - skip0,
-                        direction=direction,
-                    )
-                )
-                obs.add("runtime.iterations")
-                if telem is not None:
-                    telem.iteration(iteration, frontier_size, direction=direction)
-                if end_hook:
-                    # Before advance clears the changed mask, so the hook
-                    # sees the iteration's final values.
-                    program.end_iteration(
-                        ctx, compute.vertex_values, frontier.changed, iteration
-                    )
-                frontier.advance()
-                iteration += 1
-            else:
-                converged = frontier.size == 0
+            model = _OneDevice(sim, movement, edges.num_vertices // 8 + 1, executor)
+            iteration, converged, iteration_stats, controller = self._iterate(
+                opts,
+                program,
+                ctx,
+                model,
+                frontier,
+                compute,
+                plan,
+                max_iterations if max_iterations is not None else opts.max_iterations,
+                obs=obs,
+                telem=telem,
+                prefetcher=prefetcher,
+            )
         except BaseException as exc:
             run_error = exc
             raise
@@ -722,7 +656,7 @@ class GraphReduce:
                 # A kept (keep_warm) prefetcher's warming threads are
                 # carried state, not leaks -- excluded by ident.
                 telemetry_summary = telem.finish(
-                    iteration,
+                    frontier.iteration if frontier is not None else 0,
                     converged,
                     error=repr(run_error) if run_error else None,
                     ignore_threads=(
@@ -866,6 +800,134 @@ class GraphReduce:
         return sharded, prefetcher, key
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _admit(program: GASProgram, opts: GraphReduceOptions, edges: EdgeList):
+        """Reject a program the options cannot run, before any setup;
+        return the edges it runs on (unit weights when it needs weights
+        and the graph has none) and its :class:`RuntimeContext`."""
+        program.validate()
+        if opts.direction != "push" and not (
+            program.pull_compatible and program.has_gather
+        ):
+            raise ValueError(
+                f"direction={opts.direction!r} needs a pull-compatible gather "
+                f"program; {type(program).__name__} is push-only (its apply "
+                "treats activation as information, so a superset frontier "
+                "would change results)"
+            )
+        if program.needs_weights and edges.weights is None:
+            edges = edges.with_unit_weights()
+        return edges, RuntimeContext(edges)
+
+    @staticmethod
+    def _iterate(opts, program, ctx, model, frontier, compute, plan, limit,
+                 obs=NULL_OBSERVER, telem=None, prefetcher=None):
+        """The device-level iteration loop of every GraphReduce engine.
+
+        ``model`` is the device model: ``run_phase`` streams a phase's
+        selected shards and ``end_iteration`` ends an iteration on its
+        ``movements`` engines and shared ``sim`` (:class:`_OneDevice`,
+        :mod:`repro.core.multigpu`). Returns ``(iterations, converged,
+        iteration_stats, direction_controller)``.
+        """
+        controller = None
+        if opts.direction != "push":
+            controller = DirectionController(
+                opts.direction,
+                ctx.out_degrees,
+                ctx.num_edges,
+                ctx.num_vertices,
+                alpha=opts.direction_alpha,
+                beta=opts.direction_beta,
+            )
+        sim = model.sim
+        count_full = not opts.frontier_skipping
+
+        counters = attrgetter("h2d_bytes", "d2h_bytes", "shards_processed", "shards_skipped")
+        stats = [m.stats for m in model.movements]
+
+        def traffic():
+            return [sum(c) for c in zip(*map(counters, stats))]
+
+        def body(iteration: int) -> IterationStat:
+            frontier_size = frontier.size
+            direction = "push"
+            if controller is not None:
+                direction = controller.choose(
+                    frontier.current, iteration, vids=frontier.compact_indices
+                )
+                if direction == "pull":
+                    # Bottom-up: run the iteration with every vertex
+                    # active. The natural next frontier still comes
+                    # from FA over the changed set, so termination
+                    # and the direction rule are unaffected.
+                    frontier.activate_all()
+            t0 = sim.now
+            before = traffic()
+            compute.begin_iteration(iteration)
+            for movement in model.movements:
+                movement.current_iteration = iteration
+            with obs.span(
+                "iteration",
+                category="iteration",
+                index=iteration,
+                frontier=frontier_size,
+                direction=direction,
+            ) as it_span:
+                for group in plan:
+                    shards, skipped = GraphReduce._select_shards(
+                        group, frontier.sharded, frontier, opts
+                    )
+                    if prefetcher is not None:
+                        # Only the frontier-selected shards: skipped
+                        # shards are neither prefetched nor faulted.
+                        prefetcher.schedule([s.index for s in shards])
+
+                    def run_shard(shard, g=group):
+                        if prefetcher is not None:
+                            prefetcher.get(shard.index)
+                        return compute.run_group(g.phases, shard, count_full=count_full)
+                    with obs.span(
+                        group.name,
+                        category="phase",
+                        selector=group.selector,
+                        shards=len(shards),
+                        skipped=skipped,
+                    ):
+                        model.run_phase(group, shards, skipped, run_shard)
+                with obs.span("frontier", category="phase"):
+                    model.end_iteration(frontier)
+                h2d, d2h, processed, skipped = map(sub, traffic(), before)
+                it_span.set(h2d_bytes=h2d, d2h_bytes=d2h)
+            obs.add("runtime.iterations")
+            if telem is not None:
+                telem.iteration(iteration, frontier_size, direction=direction)
+            return IterationStat(
+                iteration=iteration,
+                frontier_size=frontier_size,
+                h2d_bytes=h2d,
+                d2h_bytes=d2h,
+                sim_seconds=sim.now - t0,
+                shards_processed=processed,
+                shards_skipped=skipped,
+                direction=direction,
+            )
+
+        iteration_stats: list[IterationStat] = []
+        for iteration in range(limit):
+            stat = run_iteration(
+                program,
+                ctx,
+                iteration,
+                frontier,
+                compute.vertex_values,
+                lambda: body(iteration),
+            )
+            if stat is None:
+                return iteration, True, iteration_stats, controller
+            iteration_stats.append(stat)
+        return len(iteration_stats), frontier.size == 0, iteration_stats, controller
+
     @staticmethod
     def _select_shards(
         group: PhaseGroup,

@@ -5,7 +5,8 @@ capacity limits."""
 import numpy as np
 import pytest
 
-from repro.algorithms import BFS, SSSP, PageRank, ConnectedComponents
+from tests.references import sssp_distances
+from repro.algorithms import BFS, SSSP, DeltaSSSP, PageRank, ConnectedComponents
 from repro.baselines import CuSha, GraphChi, HostGASExecutor, MapGraph, Totem, XStream
 from repro.core.runtime import GraphReduce
 from repro.graph.generators import erdos_renyi, mesh2d, rmat, road_network
@@ -74,12 +75,16 @@ class TestExecutor:
 class TestEquivalence:
     @pytest.mark.parametrize("framework_cls", ALL_CPU + ALL_GPU)
     def test_all_frameworks_agree_with_graphreduce(self, framework_cls, kron):
-        gr = GraphReduce(kron).run(BFS(source=1))
-        r = framework_cls().run(kron, BFS(source=1))
-        assert np.array_equal(r.vertex_values, gr.vertex_values)
-        assert r.iterations == gr.iterations
-        assert r.sim_time > 0
-        assert r.breakdown
+        for make in (lambda: BFS(source=1), lambda: DeltaSSSP(source=1, delta=1.0)):
+            gr = GraphReduce(kron).run(make())
+            r = framework_cls().run(kron, make())
+            assert np.array_equal(r.vertex_values, gr.vertex_values)
+            assert r.iterations == gr.iterations
+            assert r.sim_time > 0
+            assert r.breakdown
+        # The last program run is Delta-SSSP.
+        expected = sssp_distances(kron.with_unit_weights(), 1)
+        assert np.array_equal(r.vertex_values, expected)
 
 
 class TestCostModels:

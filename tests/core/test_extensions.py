@@ -5,7 +5,8 @@ adaptive CPU/GPU scheduling (the Section-8 future-work items)."""
 import numpy as np
 import pytest
 
-from repro.algorithms import BFS, PageRank, ConnectedComponents
+from tests.references import sssp_distances
+from repro.algorithms import BFS, DeltaSSSP, PageRank, ConnectedComponents
 from repro.core.multigpu import MultiGPUGraphReduce
 from repro.core.runtime import GraphReduce, GraphReduceOptions
 from repro.core.scheduler import AdaptiveEngine
@@ -80,10 +81,14 @@ class TestSSDBacking:
 
 class TestAdaptiveScheduler:
     def test_results_match_graphreduce(self, kron):
-        gr = GraphReduce(kron).run(ConnectedComponents())
-        ad = AdaptiveEngine(kron).run(ConnectedComponents())
-        assert np.array_equal(ad.vertex_values, gr.vertex_values)
-        assert ad.iterations == gr.iterations
+        for make in (ConnectedComponents, lambda: DeltaSSSP(source=0, delta=1.0)):
+            gr = GraphReduce(kron).run(make())
+            ad = AdaptiveEngine(kron).run(make())
+            assert np.array_equal(ad.vertex_values, gr.vertex_values)
+            assert ad.iterations == gr.iterations
+        # The last program run is Delta-SSSP.
+        expected = sssp_distances(kron.with_unit_weights(), 0)
+        assert np.array_equal(ad.vertex_values, expected)
 
     def test_sparse_tail_runs_on_cpu(self):
         """High-diameter BFS: tiny frontiers should land on the CPU."""

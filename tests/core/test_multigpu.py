@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from tests.core.test_fastpath import PROGRAMS
 from tests.fixture_graphs import build
-from repro.algorithms import PageRank
+from tests.references import sssp_distances
+from repro.algorithms import DeltaSSSP, PageRank
 from repro.core.multigpu import MultiGPUGraphReduce
 from repro.core.ownership import (
     OwnershipMap,
@@ -26,7 +27,7 @@ from repro.core.ownership import (
     owned_vertex_mask,
 )
 from repro.core.partition import PartitionEngine
-from repro.core.runtime import GraphReduceOptions
+from repro.core.runtime import GraphReduce, GraphReduceOptions
 from repro.graph.edgelist import EdgeList
 from repro.graph.generators import erdos_renyi
 
@@ -107,25 +108,33 @@ def test_ownership_rejects_bad_maps():
 # Multi-device scheduler
 # ----------------------------------------------------------------------
 def test_multigpu_bit_identical_across_device_counts():
+    """Every device count and policy matches single-device GraphReduce.
+
+    Delta-SSSP exercises the loop-control hooks (reseed on an empty
+    frontier) and must also reach the reference distances.
+    """
     g = build("er_mid")
     opts = GraphReduceOptions(num_partitions=4)
-    make = PROGRAMS["pagerank"]
-    base = MultiGPUGraphReduce(g, num_devices=1, options=opts).run(make())
-    for n in (2, 4):
-        for policy in ("replicated", "partitioned"):
-            r = MultiGPUGraphReduce(
-                g, num_devices=n, options=opts, frontier_policy=policy
-            ).run(make())
-            assert np.array_equal(r.vertex_values, base.vertex_values), (n, policy)
-            assert r.iterations == base.iterations, (n, policy)
-            assert r.converged == base.converged, (n, policy)
-            assert r.frontier_policy == policy
-            assert len(r.per_device) == n
-            assert sum(d.owned_shards for d in r.per_device) == r.num_partitions
-            assert sum(d.owned_vertices for d in r.per_device) == g.num_vertices
-            total_sent = sum(d.bytes_sent for d in r.per_device)
-            assert total_sent == r.replication_bytes
-            assert r.p2p_bytes + r.host_staged_bytes == r.replication_bytes
+    for make in (PROGRAMS["pagerank"], lambda: DeltaSSSP(source=0, delta=1.0)):
+        single = GraphReduce(g, options=opts).run(make())
+        for n in (1, 2, 4):
+            for policy in ("replicated", "partitioned"):
+                r = MultiGPUGraphReduce(
+                    g, num_devices=n, options=opts, frontier_policy=policy
+                ).run(make())
+                assert np.array_equal(r.vertex_values, single.vertex_values), (n, policy)
+                assert r.iterations == single.iterations, (n, policy)
+                assert r.converged == single.converged, (n, policy)
+                assert r.frontier_policy == policy
+                assert len(r.per_device) == n
+                assert sum(d.owned_shards for d in r.per_device) == r.num_partitions
+                assert sum(d.owned_vertices for d in r.per_device) == g.num_vertices
+                total_sent = sum(d.bytes_sent for d in r.per_device)
+                assert total_sent == r.replication_bytes
+                assert r.p2p_bytes + r.host_staged_bytes == r.replication_bytes
+    # The last program run is Delta-SSSP.
+    expected = sssp_distances(g.with_unit_weights(), 0)
+    assert np.array_equal(r.vertex_values, expected)
 
 
 def test_multigpu_partitioned_replication_is_sparser():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from tests.fixture_graphs import build
 from repro.cli import build_parser, load_graph, main
 from repro.graph.generators import erdos_renyi
 from repro.graph.io import save_edgelist_txt, save_npz
@@ -77,6 +78,17 @@ def test_compare_runs_all_frameworks(capsys):
     assert code == 0
     for fw in ("GraphReduce", "GraphChi", "X-Stream", "CuSha", "MapGraph", "Totem"):
         assert fw in out
+
+
+def test_compare_delta_sssp_frameworks_agree(tmp_path, capsys):
+    """Every baseline honors Delta-SSSP's reseed hook, so all agree."""
+    path = tmp_path / "er_mid.npz"
+    save_npz(build("er_mid"), path)
+    code = main(["compare", "--graph", str(path), "--algorithm", "sssp-delta"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "RESULT MISMATCH" not in captured.out + captured.err
+    assert "MapGraph" in captured.out
 
 
 def test_kcore_via_cli(capsys):
