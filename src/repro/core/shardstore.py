@@ -72,6 +72,17 @@ _PARTS = ("indptr", "indices", "eids", "weights")
 _NPY_OPEN_LOCK = threading.Lock()
 
 
+def _open_npy(path: Path) -> np.ndarray:
+    """Memory-map one ``.npy`` file, parsing its header under the lock.
+
+    Every load from a store goes through here: the degree tables are
+    first read on whichever thread runs the first PageRank gather, which
+    can be a ``parallel_shards`` worker racing a prefetch load.
+    """
+    with _NPY_OPEN_LOCK:
+        return np.load(path, mmap_mode="r")
+
+
 def _shard_file(index: int, layout: str, part: str) -> str:
     return f"shard{index:05d}.{layout}.{part}.npy"
 
@@ -302,10 +313,7 @@ class ShardStore:
         is cache-line aligned.
         """
         def load(layout: str, part: str):
-            with _NPY_OPEN_LOCK:
-                return np.load(
-                    self.path / _shard_file(index, layout, part), mmap_mode="r"
-                )
+            return _open_npy(self.path / _shard_file(index, layout, part))
 
         csc = CSR(load("csc", "indptr"), load("csc", "indices"), load("csc", "eids"))
         csr = CSR(load("csr", "indptr"), load("csr", "indices"), load("csr", "eids"))
@@ -328,10 +336,10 @@ class ShardStore:
         return ShardArrays(csc, csr, csc_w, csr_w, nbytes)
 
     def out_degrees(self) -> np.ndarray:
-        return np.load(self.path / OUT_DEGREES, mmap_mode="r")
+        return _open_npy(self.path / OUT_DEGREES)
 
     def in_degrees(self) -> np.ndarray:
-        return np.load(self.path / IN_DEGREES, mmap_mode="r")
+        return _open_npy(self.path / IN_DEGREES)
 
     def sharded_graph(self, unit_weights: bool = False, source=None) -> ShardedGraph:
         """The lazy ``ShardedGraph`` view (no shard data is read)."""
