@@ -56,7 +56,7 @@ from repro.core.ownership import (
     owned_vertex_mask,
 )
 from repro.core.partition import IDX_BYTES, PartitionEngine
-from repro.core.runtime import GraphReduce, GraphReduceOptions
+from repro.core.runtime import GraphReduce, GraphReduceOptions, RuntimeContext
 from repro.graph.edgelist import EdgeList
 from repro.sim.device import GPUDevice
 from repro.sim.engine import Simulator
@@ -225,6 +225,7 @@ class MultiGPUGraphReduce:
         if num_devices < 1:
             raise ValueError(f"num_devices must be >= 1, got {num_devices!r}")
         self.edges = edges
+        self._ctx = RuntimeContext(edges)
         self.num_devices = num_devices
         self.machine = machine or default_machine()
         self.options = options or GraphReduceOptions()
@@ -232,7 +233,7 @@ class MultiGPUGraphReduce:
 
     def run(self, program: GASProgram, max_iterations: int | None = None) -> MultiGPUResult:
         opts = self.options
-        edges, ctx = GraphReduce._admit(program, opts, self.edges)
+        edges, ctx = GraphReduce._admit(program, opts, self.edges, self._ctx)
         p_per_device = opts.num_partitions or PartitionEngine.choose_num_partitions(
             edges,
             self.machine.device.memory_bytes,

@@ -379,6 +379,7 @@ class GraphReduce:
                 raise ValueError("GraphReduce needs an edge list or a shard store")
             edges = shard_store.edgelist()
         self.edges = edges
+        self._ctx = RuntimeContext(edges)
         self.machine = machine or default_machine()
         self.options = options or GraphReduceOptions()
         self.partition_engine = partition_engine or PartitionEngine()
@@ -410,7 +411,7 @@ class GraphReduce:
     def run(self, program: GASProgram, max_iterations: int | None = None) -> GraphReduceResult:
         """Execute ``program`` to convergence on the simulated machine."""
         opts = self.options
-        edges, ctx = self._admit(program, opts, self.edges)
+        edges, ctx = self._admit(program, opts, self.edges, self._ctx)
 
         # --- Simulated device + observability --------------------------
         sim = Simulator()
@@ -801,10 +802,13 @@ class GraphReduce:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _admit(program: GASProgram, opts: GraphReduceOptions, edges: EdgeList):
+    def _admit(program: GASProgram, opts: GraphReduceOptions, edges: EdgeList,
+               ctx: RuntimeContext | None = None):
         """Reject a program the options cannot run, before any setup;
         return the edges it runs on (unit weights when it needs weights
-        and the graph has none) and its :class:`RuntimeContext`."""
+        and the graph has none) and its :class:`RuntimeContext` --
+        ``ctx`` when given, so an engine computes each degree table once
+        rather than once per run (weights never change a degree)."""
         program.validate()
         if opts.direction != "push" and not (
             program.pull_compatible and program.has_gather
@@ -817,7 +821,7 @@ class GraphReduce:
             )
         if program.needs_weights and edges.weights is None:
             edges = edges.with_unit_weights()
-        return edges, RuntimeContext(edges)
+        return edges, ctx if ctx is not None else RuntimeContext(edges)
 
     @staticmethod
     def _iterate(opts, program, ctx, model, frontier, compute, plan, limit,

@@ -285,12 +285,31 @@ def _replay(decisions, num_vertices, alpha, beta):
     state = "push"
     out = []
     for d in decisions:
-        if state == "push" and d.frontier_edges > d.unexplored_edges / alpha:
+        thin = d.frontier_size < num_vertices / beta
+        if state == "push" and not thin and d.frontier_edges > d.unexplored_edges / alpha:
             state = "pull"
-        elif state == "pull" and d.frontier_size < num_vertices / beta:
+        elif state == "pull" and thin:
             state = "push"
         out.append(state)
     return out
+
+
+def test_thin_frontier_never_switches_to_pull():
+    # Once every vertex is explored, m_u is 0 and any frontier passes
+    # m_f > m_u / alpha. A re-relaxing program's thin tail must stay on
+    # push instead of alternating with full pull sweeps.
+    n = 100
+    ctl = DirectionController("auto", np.full(n, 4, dtype=np.int64), 4 * n, n,
+                              alpha=2.0, beta=4.0)
+    everyone = np.ones(n, dtype=bool)
+    thin = np.zeros(n, dtype=bool)
+    thin[:3] = True
+    assert ctl.choose(everyone, 0) == "pull"
+    assert ctl.choose(thin, 1) == "push"
+    assert ctl.choose(thin, 2) == "push"
+    assert ctl.choose(thin, 3, vids=np.flatnonzero(thin)) == "push"
+    assert ctl.decisions[-1].unexplored_edges == 0
+    assert ctl.choose(everyone, 4) == "pull"
 
 
 @pytest.mark.parametrize("graph_name", ("road10x10", "er_mid", "rmat_small"))
